@@ -44,11 +44,9 @@ from .tangent import (
     principal_projection,
     realize_surjection,
     realize_word,
-    structural,
     tangent_of_map,
     verify_tangent_axioms,
     vertical_lift,
-    whisker,
     zero_section,
 )
 from .sector import (

@@ -68,9 +68,6 @@ class FinMap:
             raise ValueError(f"{x} not an element of {self.dom}")
         return self.table[x - 1]
 
-    def then(self, other: "FinMap") -> "FinMap":
-        return compose(self, other)
-
     def __repr__(self):
         return f"FinMap({self.dom}->{self.cod}, {list(self.table)})"
 

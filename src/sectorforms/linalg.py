@@ -77,15 +77,3 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[dict[int, Fraction]]:
         basis.append(vec)
     return basis
 
-
-def in_span(basis_rows: Sequence[Row], target: Row) -> bool:
-    """Whether target lies in the rational span of basis_rows."""
-    reduced, _ = rref(basis_rows)
-    work = dict(target)
-    while work:
-        col = min(work)
-        hit = next((r for r in reduced if min(r) == col), None)
-        if hit is None:
-            return False
-        _sub_scaled(work, hit, work[col])
-    return True

@@ -280,9 +280,6 @@ class PolyMap:
     def __call__(self, point: Sequence[Rat]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)
 
-    def then(self, other: "PolyMap") -> "PolyMap":
-        return compose(self, other)
-
     def __add__(self, other: "PolyMap") -> "PolyMap":
         if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
             raise ValueError("dimension mismatch")

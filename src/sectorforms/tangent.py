@@ -140,20 +140,6 @@ def fibre_addition(m: int) -> PolyMap:
     return PolyMap(3 * m, 2 * m, tuple(comps))
 
 
-STRUCTURAL_KINDS = ("vlift", "flip", "proj", "zero", "add")
-
-
-def structural(kind: str, m: int) -> PolyMap:
-    """Dispatch on {vlift, flip, proj, zero, add} at base dimension m."""
-    try:
-        fn = {"vlift": vertical_lift, "flip": canonical_flip,
-              "proj": bundle_projection, "zero": zero_section,
-              "add": fibre_addition}[kind]
-    except KeyError:
-        raise ValueError(f"unknown structural kind {kind!r}") from None
-    return fn(m)
-
-
 # -- the differential object R^k ---------------------------------------
 
 def origin_lift(k: int) -> PolyMap:
@@ -167,40 +153,77 @@ def principal_projection(k: int) -> PolyMap:
 
 
 # -- whiskered transformations on iterated tangent spaces --------------
+#
+# Every whisker is a coordinate map of the bitmask layout
+# (docs/coordinate-layout.md): output coordinate (mask, j) reads input
+# coordinate (src, j), or is 0, so each one is built from a table of
+# source masks in closed form.
+
+def _mask_map(m: int, depth: int, sources: Iterable[int | None]) -> PolyMap:
+    """Coordinate map on T^depth R^m; output block mask reads block sources[mask]."""
+    return coordinate_map(m << depth, [None if src is None else src * m + j
+                                       for src in sources for j in range(m)])
+
+
+def _lift_sources(n: int, i: int) -> list[int | None]:
+    p = n - i
+    low = (1 << p) - 1
+    out = []
+    for mask in range(1 << (n + 1)):
+        bit = mask >> p & 1
+        out.append(None if bit != mask >> (p + 1) & 1
+                   else mask & low | bit << p | mask >> (p + 2) << (p + 1))
+    return out
+
+
+def _cycle_sources(n: int, i: int) -> list[int]:
+    shift, field = n - i, (1 << i) - 1
+    out = []
+    for mask in range(1 << n):
+        bits = mask >> shift & field
+        rotated = (bits << 1 | bits >> (i - 1)) & field
+        out.append(mask & ~(field << shift) | rotated << shift)
+    return out
+
 
 def lift_whisker(m: int, n: int, i: int) -> PolyMap:
     """Vertical lift at generator index i: T^n R^m -> T^{n+1} R^m.
 
     Splits tangent level n-i+1, counted from the inside; index 1 lifts
-    the outermost level.
+    the outermost level.  Mask bits n-i and n-i+1 of the output must
+    agree, and fold into one bit of the input; otherwise the output is 0.
     """
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return iterate_tangent(vertical_lift(m << (n - i)), i - 1)
+    return _mask_map(m, n, _lift_sources(n, i))
 
 
 def flip_whisker(m: int, n: int, i: int) -> PolyMap:
     """Adjacent level swap at generator index i: T^n R^m -> T^n R^m.
 
-    Swaps tangent levels n-i and n-i+1; index 1 swaps the outermost two.
+    Swaps tangent levels n-i and n-i+1, mask bits n-i-1 and n-i; index 1
+    swaps the outermost two.
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
-    return iterate_tangent(canonical_flip(m << (n - i - 1)), i - 1)
+    a = n - i - 1
+    sources = []
+    for mask in range(1 << n):
+        differ = (mask >> a ^ mask >> (a + 1)) & 1
+        sources.append(mask ^ (differ << a | differ << (a + 1)))
+    return _mask_map(m, n, sources)
 
 
 def flip_cycle(m: int, n: int, i: int) -> PolyMap:
     """The descending composite of swaps at indices i-1, ..., 1 on T^n R^m.
 
     Index 1 is the empty composite, the identity; this realizes the
-    descending cycle permutation on tangent levels.
+    descending cycle permutation on tangent levels, rotating the mask
+    bits n-i .. n-1 left by one.
     """
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    out = identity_map(m << n)
-    for j in range(i - 1, 0, -1):
-        out = compose(out, flip_whisker(m, n, j))
-    return out
+    return _mask_map(m, n, _cycle_sources(n, i))
 
 
 def multilinearity_probe(m: int, n: int, i: int) -> PolyMap:
@@ -211,20 +234,8 @@ def multilinearity_probe(m: int, n: int, i: int) -> PolyMap:
     """
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return compose(lift_whisker(m, n, i), flip_cycle(m, n + 1, i))
-
-
-WHISKER_KINDS = ("lift", "swap", "swap_cycle", "probe")
-
-
-def whisker(kind: str, m: int, n: int, i: int) -> PolyMap:
-    """Dispatch on {lift, swap, swap_cycle, probe} at base dim m, level n, index i."""
-    try:
-        fn = {"lift": lift_whisker, "swap": flip_whisker,
-              "swap_cycle": flip_cycle, "probe": multilinearity_probe}[kind]
-    except KeyError:
-        raise ValueError(f"unknown whisker kind {kind!r}") from None
-    return fn(m, n, i)
+    lift = _lift_sources(n, i)
+    return _mask_map(m, n, [lift[src] for src in _cycle_sources(n + 1, i)])
 
 
 # -- realizing finite-cardinal surjections ------------------------------
@@ -429,6 +440,8 @@ def verify_tangent_axioms(m: int, depth: int = 3) -> RelationReport:
     """
     if m < 1:
         raise ValueError("base dimension must be at least 1")
+    if depth < 1:
+        raise ValueError("tangent depth must be at least 1")
     checked = 0
     failures = []
 
@@ -439,7 +452,7 @@ def verify_tangent_axioms(m: int, depth: int = 3) -> RelationReport:
             failures.append({"axiom": name, "at_dim": mu})
 
     for source in (_coherence_axioms, _bundle_morphism_axioms, _differential_object_axioms):
-        for j in range(max(1, depth)):
+        for j in range(depth):
             mu = m << j
             try:
                 axioms = list(source(mu))

@@ -13,7 +13,8 @@ from sectorforms.fincard import (
     generator_map,
     identity,
 )
-from sectorforms.poly import Poly, PolyMap
+from sectorforms.linalg import rank
+from sectorforms.poly import Poly, PolyMap, compose, identity_map
 from sectorforms.sector import (
     SectorForm,
     codegeneracy,
@@ -22,7 +23,12 @@ from sectorforms.sector import (
     is_sector_form,
     symmetry,
 )
-from sectorforms.tangent import TangentCoords
+from sectorforms.tangent import (
+    TangentCoords,
+    canonical_flip,
+    iterate_tangent,
+    vertical_lift,
+)
 
 
 def set_partitions(elements):
@@ -121,3 +127,33 @@ def apply_generator_word(form, gens):
         else:
             out = coface(out, g.i, validate=False)
     return out
+
+
+def in_span(basis_rows, target):
+    """Whether the sparse row target lies in the rational span of basis_rows."""
+    return rank([*basis_rows, target]) == rank(basis_rows)
+
+
+# -- reference whiskers: the generic tangent-functor constructions -------
+#
+# The package builds each whisker from its closed-form index table; these
+# build the same maps by iterating the tangent functor over the structural
+# maps and composing, and serve as the oracle for the tables.
+
+def reference_lift_whisker(m, n, i):
+    return iterate_tangent(vertical_lift(m << (n - i)), i - 1)
+
+
+def reference_flip_whisker(m, n, i):
+    return iterate_tangent(canonical_flip(m << (n - i - 1)), i - 1)
+
+
+def reference_flip_cycle(m, n, i):
+    out = identity_map(m << n)
+    for j in range(i - 1, 0, -1):
+        out = compose(out, reference_flip_whisker(m, n, j))
+    return out
+
+
+def reference_multilinearity_probe(m, n, i):
+    return compose(reference_lift_whisker(m, n, i), reference_flip_cycle(m, n + 1, i))

@@ -48,6 +48,12 @@ class TestVerifyAxioms:
         assert code == 0
         assert payload["failures"] == []
 
+    @pytest.mark.parametrize("depth", ("0", "-2"))
+    def test_nonpositive_depth_rejected(self, capsys, depth):
+        code, payload, _ = run(capsys, "verify-axioms", "--dim", "1", "--depth", depth)
+        assert code == 2
+        assert "depth" in payload["detail"]
+
 
 class TestFactor:
     def test_surjection(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_sector_form
+from helpers import in_span, random_sector_form
 from sectorforms.cohomology import (
     ComplexReport,
     SizeError,
@@ -13,7 +13,7 @@ from sectorforms.cohomology import (
     sector_candidates,
     singular_basis,
 )
-from sectorforms.linalg import in_span, nullspace, rank, rref
+from sectorforms.linalg import nullspace, rank, rref
 from sectorforms.cohomology import _body_vector
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import (

@@ -30,12 +30,10 @@ from sectorforms.tangent import (
     principal_projection,
     realize_surjection,
     realize_word,
-    structural,
     tangent_fibre_map,
     tangent_of_map,
     verify_tangent_axioms,
     vertical_lift,
-    whisker,
     zero_section,
 )
 
@@ -55,7 +53,14 @@ def random_polymap(rng, a, b, deg=2, nterms=3):
     return PolyMap(a, b, tuple(comps))
 
 
-from helpers import random_surjection, randomized_factorization
+from helpers import (
+    random_surjection,
+    randomized_factorization,
+    reference_flip_cycle,
+    reference_flip_whisker,
+    reference_lift_whisker,
+    reference_multilinearity_probe,
+)
 
 
 class TestTangentCoords:
@@ -166,12 +171,6 @@ class TestStructural:
     def test_addition(self):
         assert fibre_addition(1)((F(1), F(2), F(3))) == (F(1), F(5))
 
-    def test_dispatch(self):
-        assert structural("vlift", 2) == vertical_lift(2)
-        assert structural("add", 1) == fibre_addition(1)
-        with pytest.raises(ValueError):
-            structural("nope", 1)
-
 
 class TestDifferentialObject:
     def test_origin_lift_coordinates(self):
@@ -228,11 +227,15 @@ class TestWhiskers:
                 assert multilinearity_probe(1, n, i) == compose(
                     lift_whisker(1, n, i), flip_cycle(1, n + 1, i))
 
-    def test_dispatch(self):
-        assert whisker("lift", 1, 2, 1) == lift_whisker(1, 2, 1)
-        assert whisker("swap", 1, 3, 2) == flip_whisker(1, 3, 2)
-        with pytest.raises(ValueError):
-            whisker("bogus", 1, 2, 1)
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_tables_match_tangent_functor_reference(self, m):
+        for n in range(7):
+            for i in range(1, n):
+                assert flip_whisker(m, n, i) == reference_flip_whisker(m, n, i)
+            for i in range(1, n + 1):
+                assert lift_whisker(m, n, i) == reference_lift_whisker(m, n, i)
+                assert flip_cycle(m, n, i) == reference_flip_cycle(m, n, i)
+                assert multilinearity_probe(m, n, i) == reference_multilinearity_probe(m, n, i)
 
     def test_index_ranges(self):
         with pytest.raises(ValueError):
