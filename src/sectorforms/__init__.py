@@ -37,7 +37,6 @@ from .tangent import (
     flip_cycle,
     flip_whisker,
     iterate_tangent,
-    lift_comparison,
     lift_whisker,
     multilinearity_probe,
     origin_lift,

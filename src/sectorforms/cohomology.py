@@ -1,10 +1,10 @@
 """Degree-bounded bases of sector forms and desk-scale cohomology.
 
-`sector_basis` enumerates an ansatz of candidate polynomials that are
-multilinear in each tangent coordinate group and have base dependence of
-bounded degree, imposes the linearity equations as exact linear
-constraints on the coefficients, and returns a basis of the solution
-space.  `complex_report` assembles the boundary maps of the resulting
+`sector_basis` returns the partition monomials: a base monomial of
+bounded degree times one tangent coordinate per block of a set partition
+of the tangent levels.  Linearity in each level forces exactly this
+shape, so the monomials are a basis and no equations are solved.
+`complex_report` assembles the boundary maps of the resulting
 degree-bounded complex, certifies that the boundary squares to zero, and
 reports kernel/image/cohomology ranks for the full complex and for the
 alternating (singular) subcomplex.
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import comb
 
 from .linalg import nullspace, rank
-from .poly import Poly, PolyMap, compose
+from .poly import Poly, PolyMap
 from .sector import SectorForm, exterior_derivative, symmetry
-from .tangent import multilinearity_probe, origin_lift, tangent_of_map
 
 
 class SizeError(ValueError):
@@ -49,72 +48,57 @@ def _base_exponents(m: int, d: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _touchard(n: int, m: int) -> int:
+    """T_n(m): set partitions of 1..n with one of m labels on each block."""
+    t = [1]
+    for i in range(n):
+        t.append(m * sum(comb(i, k) * t[k] for k in range(i + 1)))
+    return t[n]
+
+
 def sector_candidates(n: int, m: int, d: int) -> list[Poly]:
-    """The ansatz: base monomials times at most one variable per tangent group.
+    """The partition monomials of sector n-forms on R^m at coefficient bound d.
 
-    Tangent coordinates of T^n R^m split into 2^n - 1 nonempty-level
-    groups of m variables each; a candidate takes each group to degree
-    at most one jointly.
+    Each is a base monomial of degree <= d times one tangent coordinate
+    (j, S) per block S of a set partition of the levels 1..n.  The
+    blocks grow level by level: level l joins an existing block, which
+    adds m << (l-1) to its flat index mask(S)*m + j-1, or opens a new
+    block (j, {l}).  Order: base exponents, then these shapes.
     """
+    shapes = [()]
+    for level in range(n):
+        step = m << level
+        shapes = ([s[:k] + (s[k] + step,) + s[k + 1:] for s in shapes for k in range(len(s))]
+                  + [s + (step + j,) for s in shapes for j in range(m)])
     size = m << n
-    groups = list(range(1, 1 << n))  # nonempty level sets, binary-counter order
-    base_embed = list(range(m))
     candidates = []
-    for exps in _base_exponents(m, d):
-        base = Poly.monomial(m, exps).embed(size, base_embed)
-        for picks in product(range(m + 1), repeat=len(groups)):
-            term = base
-            for mask, pick in zip(groups, picks):
-                if pick:
-                    term = term * Poly.var(size, mask * m + (pick - 1))
-            candidates.append(term)
+    for base in _base_exponents(m, d):
+        for shape in shapes:
+            exp = list(base) + [0] * (size - m)
+            for flat in shape:
+                exp[flat] = 1
+            candidates.append(Poly.monomial(size, exp))
     return candidates
-
-
-def _linearity_rows(n: int, m: int, candidates: list[Poly]) -> list[dict]:
-    """Constraint matrix rows: columns are candidates, rows are monomials of
-    the residual of each linearity equation."""
-    size = m << n
-    lam = origin_lift(1)
-    probes = [multilinearity_probe(m, n, i) for i in range(1, n + 1)]
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, cand in enumerate(candidates):
-        body = PolyMap(size, 1, (cand,))
-        jac = tangent_of_map(body)
-        rhs = compose(body, lam)
-        for i, probe in enumerate(probes):
-            residual = compose(probe, jac) - rhs
-            for comp_idx, comp in enumerate(residual.components):
-                for exp, coeff in comp.terms.items():
-                    key = (i, comp_idx, exp)
-                    rows.setdefault(key, {})[col] = coeff
-    return list(rows.values())
 
 
 def sector_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[SectorForm]:
     """A basis of sector n-forms on R^m with coefficient degree <= d.
 
-    Deterministic: candidates are enumerated in a fixed order and the
-    kernel basis comes out of reduced echelon form.
+    Linearity in each tangent level makes the level sets of every
+    monomial a set partition of 1..n, so the partition monomials of
+    `sector_candidates` are a basis, of dimension C(m+d, m)*T_n(m) with
+    T_n the Touchard polynomial.  The guard compares that count before
+    anything is built.
     """
     if n < 0 or m < 1 or d < 0:
         raise ValueError("need n >= 0, m >= 1, d >= 0")
-    candidates = sector_candidates(n, m, d)
-    if len(candidates) > max_candidates:
+    count = comb(m + d, m) * _touchard(n, m)
+    if count > max_candidates:
         raise SizeError(
-            f"{len(candidates)} candidates at (n={n}, m={m}, d={d}) "
+            f"{count} candidates at (n={n}, m={m}, d={d}) "
             f"exceed the guard of {max_candidates}")
     size = m << n
-    if n == 0:
-        return [SectorForm(0, m, 1, PolyMap(size, 1, (c,))) for c in candidates]
-    rows = _linearity_rows(n, m, candidates)
-    basis = []
-    for vec in nullspace(rows, len(candidates)):
-        total = Poly.zero(size)
-        for col, coeff in sorted(vec.items()):
-            total = total + candidates[col].scale(coeff)
-        basis.append(SectorForm(n, m, 1, PolyMap(size, 1, (total,))))
-    return basis
+    return [SectorForm(n, m, 1, PolyMap(size, 1, (c,))) for c in sector_candidates(n, m, d)]
 
 
 def _body_vector(form: SectorForm) -> dict:
@@ -180,13 +164,14 @@ class ComplexReport:
     complex_verified: bool
 
     def consistent(self) -> bool:
+        """The subtraction identity holds and no cohomology rank is negative."""
         ok = all(self.cohomology[i] == self.kernel_dims[i]
                  - (self.image_ranks_raised[i - 1] if i else 0)
                  for i in range(len(self.cohomology)))
         ok = ok and all(self.singular_cohomology[i] == self.singular_kernel_dims[i]
                         - (self.singular_image_ranks_raised[i - 1] if i else 0)
                         for i in range(len(self.singular_cohomology)))
-        return ok
+        return ok and all(h >= 0 for h in self.cohomology + self.singular_cohomology)
 
 
 def _rank_and_kernel(basis: list[SectorForm]) -> tuple[int, int, bool]:

@@ -314,22 +314,6 @@ def tangent_pair(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(f.dom_dim, 6 * m, comps)
 
 
-def lift_comparison(m: int) -> PolyMap:
-    """The comparison map from the fibre product into the double bundle.
-
-    Built as the pairing of (first projection; vertical lift) with
-    (second projection; zero section of the tangent bundle), pushed
-    through the tangent of fibre addition.  Its pullback universal
-    property is not checked here.
-    """
-    three = 3 * m
-    pi1 = coordinate_map(three, list(range(2 * m)))
-    pi2 = coordinate_map(three, list(range(m)) + list(range(2 * m, 3 * m)))
-    f = compose(pi1, vertical_lift(m))
-    g = compose(pi2, zero_section(2 * m))
-    return compose(tangent_pair(f, g), tangent_of_map(fibre_addition(m)))
-
-
 # -- axiom verification -------------------------------------------------
 
 def _random_polymap(rng: random.Random, a: int, b: int, deg: int = 2) -> PolyMap:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from sectorforms.fincard import (
     EPSILON,
@@ -13,7 +14,7 @@ from sectorforms.fincard import (
     generator_map,
     identity,
 )
-from sectorforms.linalg import rank
+from sectorforms.linalg import nullspace, rank
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
 from sectorforms.sector import (
     SectorForm,
@@ -27,6 +28,9 @@ from sectorforms.tangent import (
     TangentCoords,
     canonical_flip,
     iterate_tangent,
+    multilinearity_probe,
+    origin_lift,
+    tangent_of_map,
     vertical_lift,
 )
 
@@ -157,3 +161,45 @@ def reference_flip_cycle(m, n, i):
 
 def reference_multilinearity_probe(m, n, i):
     return compose(reference_lift_whisker(m, n, i), reference_flip_cycle(m, n + 1, i))
+
+
+# -- reference sector basis: an ansatz and its linearity equations ------
+#
+# The package lists the partition monomials directly; this solves for
+# the same space from scratch.  The ansatz takes base monomials of degree
+# <= d times at most one variable from each of the 2^n - 1 tangent
+# coordinate groups, (m+1)^(2^n-1) * C(m+d, m) candidates; the linearity
+# equations become exact linear constraints on their coefficients, and
+# the nullspace is the basis.
+
+def reference_sector_basis(n, m, d):
+    size = m << n
+    bases = [e for e in product(range(d + 1), repeat=m) if sum(e) <= d]
+    candidates = []
+    for exps in bases:
+        base = Poly.monomial(size, exps + (0,) * (size - m))
+        for picks in product(range(m + 1), repeat=(1 << n) - 1):
+            term = base
+            for mask, pick in enumerate(picks, start=1):
+                if pick:
+                    term = term * Poly.var(size, mask * m + (pick - 1))
+            candidates.append(term)
+    lam = origin_lift(1)
+    probes = [multilinearity_probe(m, n, i) for i in range(1, n + 1)]
+    rows = {}
+    for col, cand in enumerate(candidates):
+        body = PolyMap(size, 1, (cand,))
+        jac = tangent_of_map(body)
+        rhs = compose(body, lam)
+        for i, probe in enumerate(probes):
+            residual = compose(probe, jac) - rhs
+            for comp_idx, comp in enumerate(residual.components):
+                for exp, coeff in comp.terms.items():
+                    rows.setdefault((i, comp_idx, exp), {})[col] = coeff
+    basis = []
+    for vec in nullspace(list(rows.values()), len(candidates)):
+        total = Poly.zero(size)
+        for col, coeff in sorted(vec.items()):
+            total = total + candidates[col].scale(coeff)
+        basis.append(SectorForm(n, m, 1, PolyMap(size, 1, (total,))))
+    return basis

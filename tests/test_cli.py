@@ -146,9 +146,13 @@ class TestDerham:
         assert payload["singular_dims"][2] == 0
         assert payload["complex_verified"] is True
 
-    def test_deterministic_bytes(self, capsys):
-        _, first, _ = run(capsys, "derham", "--dim", "1", "--deg", "2", "--levels", "1")
-        _, second, _ = run(capsys, "derham", "--dim", "1", "--deg", "2", "--levels", "1")
+    @pytest.mark.parametrize("argv", [
+        ("derham", "--dim", "1", "--deg", "2", "--levels", "1"),
+        ("sector-basis", "--n", "3", "--dim", "2", "--deg", "1"),
+    ], ids=["derham", "sector-basis"])
+    def test_deterministic_bytes(self, capsys, argv):
+        _, first, _ = run(capsys, *argv)
+        _, second, _ = run(capsys, *argv)
         assert dumps(first) == dumps(second)
 
     def test_guard(self, capsys):
@@ -164,6 +168,13 @@ class TestSectorBasisCommand:
         assert code == 0
         assert payload["dimension"] == 8
         assert len(payload["basis"]) == 8
+
+    def test_level_four_within_guard(self, capsys):
+        # Bell(4) = 15 partition monomials
+        code, payload, _ = run(capsys, "sector-basis", "--n", "4", "--dim", "1", "--deg", "0")
+        assert code == 0
+        assert payload["dimension"] == 15
+        assert len(payload["basis"]) == 15
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "basis.json"

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from helpers import in_span, random_sector_form
+from helpers import in_span, random_sector_form, reference_sector_basis, set_partitions
+from sectorforms import cohomology
 from sectorforms.cohomology import (
     ComplexReport,
     SizeError,
@@ -65,7 +67,8 @@ class TestSectorBasis:
             assert len(sector_basis(2, 1, d)) == 2 * (d + 1)
 
     def test_basis_members_are_sector_forms(self):
-        for n, m, d in ((1, 1, 2), (2, 1, 2), (2, 2, 1), (3, 1, 1)):
+        for n, m, d in ((1, 1, 2), (2, 1, 2), (2, 2, 1), (3, 1, 1), (4, 1, 1), (4, 2, 0),
+                        (5, 1, 0)):
             basis = sector_basis(n, m, d)
             assert basis, (n, m, d)
             for form in basis:
@@ -86,13 +89,34 @@ class TestSectorBasis:
         assert rank(rows) == len(basis)
 
     def test_resource_guard(self):
+        # C(3, 2) * T_3(2) = 3 * 22 = 66 partition monomials
+        assert len(sector_basis(3, 2, 1, max_candidates=66)) == 66
         with pytest.raises(SizeError):
-            sector_basis(3, 2, 1, max_candidates=100)
+            sector_basis(3, 2, 1, max_candidates=50)
+
+    def test_guard_counts_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated past the guard")
+
+        monkeypatch.setattr(cohomology, "sector_candidates", refuse)
+        with pytest.raises(SizeError):
+            sector_basis(12, 3, 8)
 
     def test_candidate_count(self):
-        # (m+1)^(2^n - 1) group choices x C(m+d, d) base monomials
-        assert len(sector_candidates(2, 1, 3)) == 8 * 4
-        assert len(sector_candidates(2, 2, 0)) == 27
+        # C(m+d, m) base monomials x T_n(m) labelled set partitions of 1..n
+        for n in range(6):
+            partitions = list(set_partitions(range(n)))
+            for m in range(1, 4):
+                touchard = sum(m ** len(p) for p in partitions)
+                for d in range(3):
+                    assert len(sector_candidates(n, m, d)) == comb(m + d, m) * touchard
+
+    @pytest.mark.parametrize("n,m,d", [(0, 2, 2), (1, 1, 3), (2, 1, 4), (3, 1, 2),
+                                       (2, 2, 3), (2, 3, 1), (1, 3, 2)])
+    def test_same_span_as_reference(self, n, m, d):
+        rows = [_body_vector(b) for b in sector_basis(n, m, d)]
+        ref = [_body_vector(b) for b in reference_sector_basis(n, m, d)]
+        assert rank(rows) == len(rows) == len(ref) == rank(rows + ref)
 
 
 class TestSingularBasis:
@@ -149,6 +173,24 @@ class TestComplexReport:
         rep = complex_report(1, 3, 0)
         assert rep.dims == (4,)
         assert rep.cohomology == (1,)
+
+    def test_negative_cohomology_is_inconsistent(self):
+        def report(kernels, raised, s_kernels, s_raised):
+            # H[i] = kernel[i] - raised[i-1] holds by construction
+            h = (kernels[0],) + tuple(k - r for k, r in zip(kernels[1:], raised))
+            s_h = (s_kernels[0],) + tuple(k - r for k, r in zip(s_kernels[1:], s_raised))
+            zeros = (0,) * len(kernels)
+            return ComplexReport(
+                base_dim=1, degree_bound=0, levels=len(kernels) - 1,
+                dims=kernels, kernel_dims=kernels, boundary_ranks=zeros,
+                image_ranks_raised=raised, cohomology=h,
+                singular_dims=s_kernels, singular_kernel_dims=s_kernels,
+                singular_boundary_ranks=zeros, singular_image_ranks_raised=s_raised,
+                singular_cohomology=s_h, complex_verified=True)
+
+        assert report((1, 2), (2,), (1, 2), (2,)).consistent()
+        assert not report((1, 2), (3,), (1, 2), (2,)).consistent()
+        assert not report((1, 2), (2,), (1, 2), (3,)).consistent()
 
     def test_bad_levels(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from sectorforms.tangent import (
     flip_cycle,
     flip_whisker,
     iterate_tangent,
-    lift_comparison,
     lift_whisker,
     multilinearity_probe,
     origin_lift,
@@ -296,18 +295,6 @@ class TestFibreMaps:
             lhs = compose(tangent_fibre_map(f), fibre_addition(2))
             rhs = compose(fibre_addition(2), tangent_of_map(f))
             assert lhs == rhs
-
-    def test_lift_comparison_coordinates(self):
-        # (x, u, w) |-> (x, w, 0, u)
-        assert lift_comparison(1) == coordinate_map(3, [0, 2, None, 1])
-
-    def test_lift_comparison_square_commutes(self):
-        for m in (1, 2):
-            v = lift_comparison(m)
-            top = compose(v, tangent_of_map(bundle_projection(m)))
-            pi_base = coordinate_map(3 * m, range(m))
-            bottom = compose(pi_base, zero_section(m))
-            assert top == bottom
 
 
 class TestAxioms:
