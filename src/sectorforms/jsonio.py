@@ -98,6 +98,8 @@ def poly_from_dict(payload: dict) -> Poly:
     terms = {}
     for entry in _expect(payload, "terms", list):
         exp = tuple(_expect(entry, "exp", list))
+        if any(isinstance(e, bool) or not isinstance(e, int) for e in exp):
+            raise InputFormatError(f"exponent {list(exp)} should hold integers")
         num = _expect(entry, "num", str)
         den = _expect(entry, "den", str)
         try:

@@ -30,7 +30,8 @@ def rref(rows: Sequence[Row]) -> tuple[list[Row], dict[Hashable, int]]:
     """Reduced row echelon form.
 
     Returns the nonzero reduced rows and a map pivot column -> row index.
-    Deterministic: pivot columns are processed in ascending key order.
+    Deterministic: each step takes the sparsest remaining row, ties going
+    to the smallest leading column, and pivots on its smallest column.
     """
     work = [dict(r) for r in rows if r]
     pivots: dict[Hashable, int] = {}

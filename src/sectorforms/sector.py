@@ -21,6 +21,12 @@ The operators:
 * ``pullback``                precompose with an iterated tangent of a
   polynomial map of base spaces.
 
+The three derivative operators never build a map: on the bitmask layout
+the Jacobian followed by the principal projection moves one power of a
+variable v to v + m*2^n, and the flip cycle permutes flat indices, so
+`_cofaces` rewrites exponent tuples directly
+(docs/coordinate-layout.md, "Derivatives on exponent tuples").
+
 Alternating forms (every adjacent swap acts as negation) are the
 singular forms; they are closed under the exterior derivative.
 """
@@ -32,13 +38,12 @@ from dataclasses import dataclass
 from .fincard import DELTA, EPSILON, FinMap, factor_map
 from .poly import Poly, PolyMap, compose, zero_map
 from .tangent import (
-    flip_cycle,
+    _cycle_sources,
     flip_whisker,
     iterate_tangent,
     lift_whisker,
     multilinearity_probe,
     origin_lift,
-    principal_projection,
     tangent_of_map,
 )
 
@@ -120,23 +125,66 @@ def _require_sector(omega: SectorForm):
         raise ValueError(f"not a sector form: linearity fails at positions {list(bad)}")
 
 
+def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
+    """The sum of signs[i] * coface(omega, i), signs +-1, on exponent tuples.
+
+    For each term c * x^e and each variable v with e_v > 0, the Jacobian
+    and principal projection give c * e_v * x^(e - 1_v + 1_(v + half)),
+    half = m << omega.n; the coface at i then moves the exponent at flat
+    index mask*m + j to src[mask]*m + j, src the flip-cycle table at i.
+    """
+    m, n = omega.m, omega.n + 1
+    half, size = m << omega.n, m << n
+    moves = []
+    for i, sign in signs.items():
+        src = _cycle_sources(n, i)
+        moves.append((sign > 0, [src[flat // m] * m + flat % m for flat in range(size)]))
+    components = []
+    for comp in omega.body.components:
+        terms = {}
+        for exp, c in comp.terms.items():
+            support = [(v, e) for v, e in enumerate(exp) if e]
+            for pos, (v, e) in enumerate(support):
+                shifted = support[:pos] + support[pos + 1:] + [(v + half, 1)]
+                if e > 1:
+                    shifted.append((v, e - 1))
+                plus = c * e if e > 1 else c
+                minus = -plus
+                for positive, where in moves:
+                    out = [0] * size
+                    for flat, power in shifted:
+                        out[where[flat]] = power
+                    key = tuple(out)
+                    value = plus if positive else minus
+                    old = terms.get(key)
+                    terms[key] = value if old is None else old + value
+        components.append(Poly(size, terms))
+    return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
+
+
 def fundamental_derivative(omega: SectorForm, validate: bool = True) -> SectorForm:
-    """Jacobian then principal projection: degree n to degree n+1."""
+    """Jacobian then principal projection: degree n to degree n+1.
+
+    A term c*x^e gives, for each variable v in it, c*e_v times x^e with
+    one power of v moved to v + m*2^n, a coordinate of the new outermost
+    level.
+    """
     if validate:
         _require_sector(omega)
-    body = compose(tangent_of_map(omega.body), principal_projection(omega.k))
-    return SectorForm(omega.n + 1, omega.m, omega.k, body)
+    return _cofaces(omega, {1: 1})
 
 
 def coface(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
-    """Derivative in position i: flip cycle, Jacobian, principal projection."""
+    """Derivative in position i: flip cycle, Jacobian, principal projection.
+
+    The fundamental derivative with its flat indices permuted by the
+    flip-cycle table at i; position 1 is the fundamental derivative.
+    """
     if not 1 <= i <= omega.n + 1:
         raise ValueError(f"need 1 <= i <= {omega.n + 1}, got {i}")
     if validate:
         _require_sector(omega)
-    body = compose(flip_cycle(omega.m, omega.n + 1, i),
-                   compose(tangent_of_map(omega.body), principal_projection(omega.k)))
-    return SectorForm(omega.n + 1, omega.m, omega.k, body)
+    return _cofaces(omega, {i: 1})
 
 
 def codegeneracy(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
@@ -184,16 +232,12 @@ def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> S
 def exterior_derivative(omega: SectorForm, validate: bool = True) -> SectorForm:
     """The alternating sum of cofaces, (-1)^(i-1) at position i.
 
-    Squares to zero: sector forms are a cochain complex.
+    One pass over the exponent tuples adds every signed coface into the
+    same term dict.  Squares to zero: sector forms are a cochain complex.
     """
     if validate:
         _require_sector(omega)
-    shared = compose(tangent_of_map(omega.body), principal_projection(omega.k))
-    total = zero_map(omega.m << (omega.n + 1), omega.k)
-    for i in range(1, omega.n + 2):
-        term = compose(flip_cycle(omega.m, omega.n + 1, i), shared)
-        total = total + (term if i % 2 else -term)
-    return SectorForm(omega.n + 1, omega.m, omega.k, total)
+    return _cofaces(omega, {i: 1 if i % 2 else -1 for i in range(1, omega.n + 2)})
 
 
 def is_alternating(omega: SectorForm) -> bool:

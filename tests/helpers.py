@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from sectorforms.fincard import (
@@ -27,9 +28,11 @@ from sectorforms.sector import (
 from sectorforms.tangent import (
     TangentCoords,
     canonical_flip,
+    flip_cycle,
     iterate_tangent,
     multilinearity_probe,
     origin_lift,
+    principal_projection,
     tangent_of_map,
     vertical_lift,
 )
@@ -203,3 +206,36 @@ def reference_sector_basis(n, m, d):
             total = total + candidates[col].scale(coeff)
         basis.append(SectorForm(n, m, 1, PolyMap(size, 1, (total,))))
     return basis
+
+
+# -- reference derivatives: Jacobian, principal projection, flip cycles --
+#
+# The package rewrites exponent tuples directly; these compose the
+# tangent of the body with the principal projection and the flip-cycle
+# whiskers as polynomial maps, and serve as the oracle for the rewrite.
+# Forms and whiskers are immutable: the whiskers are built once per
+# shape, and the Jacobian and cofaces of the last few forms are kept, so
+# checking every operator on one form differentiates it once.
+
+_flip_cycle = lru_cache(maxsize=None)(flip_cycle)
+
+
+@lru_cache(maxsize=8)
+def reference_fundamental_derivative(omega):
+    body = compose(tangent_of_map(omega.body), principal_projection(omega.k))
+    return SectorForm(omega.n + 1, omega.m, omega.k, body)
+
+
+@lru_cache(maxsize=64)
+def reference_coface(omega, i):
+    body = compose(_flip_cycle(omega.m, omega.n + 1, i),
+                   reference_fundamental_derivative(omega).body)
+    return SectorForm(omega.n + 1, omega.m, omega.k, body)
+
+
+def reference_exterior_derivative(omega):
+    total = SectorForm.zero(omega.n + 1, omega.m, omega.k)
+    for i in range(1, omega.n + 2):
+        term = reference_coface(omega, i)
+        total = total + (term if i % 2 else -term)
+    return total

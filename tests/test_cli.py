@@ -127,6 +127,16 @@ class TestApplyAndDerive:
         code, payload, _ = run(capsys, "derive", "--form", form, "--position", "5")
         assert code == 2 and payload["error"] == "dimension-mismatch"
 
+    @pytest.mark.parametrize("exp", ([0, 1.5], [2.0, 1], [True, 1]),
+                             ids=["float", "integral-float", "bool"])
+    def test_non_integer_exponent_rejected(self, tmp_path, capsys, exp):
+        payload = sectorform_to_dict(line_one_form(Poly.var(1, 0)))
+        payload["body"]["components"][0]["terms"][0]["exp"] = exp
+        form = write_json(tmp_path, "form.json", payload)
+        code, out, _ = run(capsys, "derive", "--form", form)
+        assert code == 2
+        assert out["error"] == "bad-format"
+
     def test_invalid_form_rejected(self, tmp_path, capsys):
         v = Poly.var(2, 1)
         bad = SectorForm(1, 1, 1, PolyMap(2, 1, (v * v,)))
@@ -149,8 +159,13 @@ class TestDerham:
     @pytest.mark.parametrize("argv", [
         ("derham", "--dim", "1", "--deg", "2", "--levels", "1"),
         ("sector-basis", "--n", "3", "--dim", "2", "--deg", "1"),
-    ], ids=["derham", "sector-basis"])
-    def test_deterministic_bytes(self, capsys, argv):
+        ("derive", "--form", "FORM"),
+        ("derive", "--form", "FORM", "--position", "2"),
+    ], ids=["derham", "sector-basis", "derive", "derive-position"])
+    def test_deterministic_bytes(self, tmp_path, capsys, argv):
+        w = random_sector_form(random.Random(6), 3, 2, 2)
+        form = write_json(tmp_path, "form.json", sectorform_to_dict(w))
+        argv = [form if a == "FORM" else a for a in argv]
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert dumps(first) == dumps(second)

@@ -1,9 +1,18 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from helpers import random_finmap, random_sector_form, random_surjection
+from helpers import (
+    random_finmap,
+    random_sector_form,
+    random_surjection,
+    reference_coface,
+    reference_exterior_derivative,
+    reference_fundamental_derivative,
+)
+from sectorforms.cohomology import sector_basis
 from sectorforms.fincard import (
     DELTA,
     EPSILON,
@@ -296,6 +305,63 @@ class TestExteriorDerivative:
         assert is_sector_form(exterior_derivative(w))
 
 
+# (n, m, d) with n <= 4, m <= 3, d <= 2, each at the largest d whose basis
+# of C(m+d, m)*T_n(m) partition monomials stays within 300; the basis at
+# bound d holds the bases at every lower bound.
+MONOMIAL_SHAPES = [(0, 1, 2), (0, 2, 2), (0, 3, 2), (1, 1, 2), (1, 2, 2), (1, 3, 2),
+                   (2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 1),
+                   (4, 1, 2), (4, 2, 1)]
+
+
+def monomials_and_their_derivatives(n, m, d):
+    """Every partition monomial at (n, m, d), each followed by its d."""
+    for w in sector_basis(n, m, d):
+        yield w
+        yield reference_exterior_derivative(w)
+
+
+def random_vector_forms(seed):
+    """Seeded two-component forms with non-integer rational coefficients."""
+    rng = random.Random(seed)
+    for n in range(4):
+        for m in (1, 2):
+            comps = []
+            for _ in range(2):
+                a, b = random_sector_form(rng, n, m, 2), random_sector_form(rng, n, m, 2)
+                mix = (a.scale(F(rng.randint(1, 9), rng.randint(2, 7)))
+                       - b.scale(F(rng.randint(1, 9), rng.randint(2, 7))))
+                comps.append(mix.body.components[0])
+            yield SectorForm(n, m, 2, PolyMap(m << n, 2, tuple(comps)))
+
+
+def zero_and_degree_zero_forms():
+    for n, m, k in ((0, 1, 1), (0, 2, 3), (2, 2, 2), (3, 1, 1)):
+        yield SectorForm.zero(n, m, k)
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    body = ((x * x * y).scale(F(2, 3)) - y.scale(F(1, 5)) + Poly.const(2, 4), Poly.const(2, F(7, 2)))
+    yield SectorForm(0, 2, 2, PolyMap(2, 2, body))
+
+
+REFERENCE_CASES = {
+    **{f"monomials-{n}-{m}-{d}": partial(monomials_and_their_derivatives, n, m, d)
+       for n, m, d in MONOMIAL_SHAPES},
+    "random-k2-fractions": partial(random_vector_forms, 41),
+    "zero-and-degree-zero": zero_and_degree_zero_forms,
+}
+
+
+class TestComposeReference:
+    """The exponent-tuple derivatives equal the composed polynomial maps."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_derivatives_match_reference(self, case):
+        for w in REFERENCE_CASES[case]():
+            assert fundamental_derivative(w, validate=False) == reference_fundamental_derivative(w)
+            for i in range(1, w.n + 2):
+                assert coface(w, i, validate=False) == reference_coface(w, i), i
+            assert exterior_derivative(w, validate=False) == reference_exterior_derivative(w)
+
+
 class TestAlternating:
     def test_low_degrees_vacuous(self):
         rng = random.Random(17)
@@ -447,7 +513,6 @@ class TestCosimplicialIdentities:
 
     def test_identities_on_basis_combinations(self):
         # draw random rational combinations straight out of the computed bases
-        from sectorforms.cohomology import sector_basis
         rng = random.Random(24)
         for n, m, d in ((2, 1, 2), (2, 2, 1), (3, 1, 1)):
             basis = sector_basis(n, m, d)
