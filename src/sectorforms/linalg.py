@@ -31,15 +31,14 @@ def rref(rows: Sequence[Row]) -> tuple[list[Row], dict[Hashable, int]]:
 
     Returns the nonzero reduced rows and a map pivot column -> row index.
     Deterministic: each step takes the sparsest remaining row, ties going
-    to the smallest leading column, and pivots on its smallest column.
+    to the smallest leading column and then to the earliest input row, and
+    pivots on its smallest column.
     """
     work = [dict(r) for r in rows if r]
     pivots: dict[Hashable, int] = {}
     reduced: list[Row] = []
     while work:
-        # most sparse row first, then by its smallest column, for stability
-        work.sort(key=lambda r: (len(r), min(r)))
-        row = work.pop(0)
+        row = work.pop(min(range(len(work)), key=lambda k: (len(work[k]), min(work[k]))))
         col = min(row)
         inv = 1 / row[col]
         row = {c: v * inv for c, v in row.items()}

@@ -42,6 +42,18 @@ class Poly:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _from_terms(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap a term dict the package built itself, without re-checking it.
+
+        The caller guarantees what `__init__` would enforce: every key is
+        an exponent tuple of length ``nvars`` with entries >= 0, and every
+        value is a nonzero `Fraction`.
+        """
+        out = cls.__new__(cls)
+        out.nvars, out.terms = nvars, terms
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "Poly":
         return cls(nvars)
 
@@ -55,7 +67,7 @@ class Poly:
             raise ValueError(f"variable {j} out of range")
         exp = [0] * nvars
         exp[j] = 1
-        return cls(nvars, {tuple(exp): 1})
+        return cls._from_terms(nvars, {tuple(exp): Fraction(1)})
 
     @classmethod
     def monomial(cls, nvars: int, exp: Exponent, c: Rat = 1) -> "Poly":
@@ -105,15 +117,10 @@ class Poly:
                 terms[exp] = s
             else:
                 terms.pop(exp, None)
-        out = Poly.__new__(Poly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
+        return Poly._from_terms(self.nvars, terms)
 
     def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
+        return Poly._from_terms(self.nvars, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -131,19 +138,14 @@ class Poly:
                     terms[exp] = s
                 else:
                     terms.pop(exp, None)
-        out = Poly.__new__(Poly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
+        return Poly._from_terms(self.nvars, terms)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
 
     def scale(self, c: Rat) -> "Poly":
         c = _frac(c)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {} if not c else {exp: c * v for exp, v in self.terms.items()}
-        return out
+        return Poly._from_terms(self.nvars, {exp: c * v for exp, v in self.terms.items()} if c else {})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -170,7 +172,7 @@ class Poly:
                 new = list(exp)
                 new[j] = e - 1
                 terms[tuple(new)] = c * e
-        return Poly(self.nvars, terms)
+        return Poly._from_terms(self.nvars, terms)
 
     def embed(self, nvars: int, where: Sequence[int]) -> "Poly":
         """Rename variable j to where[j] inside a larger variable set."""
@@ -184,7 +186,7 @@ class Poly:
                     new[where[j]] += e
             key = tuple(new)
             terms[key] = terms.get(key, Fraction(0)) + c
-        return Poly(nvars, terms)
+        return Poly._from_terms(nvars, {exp: c for exp, c in terms.items() if c})
 
     def subs(self, args: Sequence["Poly"], nvars: int | None = None) -> "Poly":
         """Substitute args[j] for variable j; all args share a variable set.
@@ -200,34 +202,8 @@ class Poly:
             nvars = 0
         if any(a.nvars != nvars for a in args):
             raise ValueError("replacements disagree on variable count")
-        if not args:
-            return Poly(nvars, {(0,) * nvars: self.terms.get((), Fraction(0))})
-
-        # fast path: every replacement is 0 or a single term
         if all(len(a.terms) <= 1 for a in args):
-            terms: dict[Exponent, Fraction] = {}
-            for exp, c in self.terms.items():
-                out_exp = [0] * nvars
-                coeff = c
-                for j, e in enumerate(exp):
-                    if not e:
-                        continue
-                    if not args[j].terms:
-                        coeff = Fraction(0)
-                        break
-                    (aexp, ac), = args[j].terms.items()
-                    coeff *= ac ** e
-                    for v, p in enumerate(aexp):
-                        if p:
-                            out_exp[v] += p * e
-                if coeff:
-                    key = tuple(out_exp)
-                    s = terms.get(key, Fraction(0)) + coeff
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
-            return Poly(nvars, terms)
+            return Poly._from_terms(nvars, _substitute(self.terms, _images(args), nvars))
 
         out = Poly.zero(nvars)
         powers: dict[tuple[int, int], Poly] = {}
@@ -258,6 +234,58 @@ class Poly:
                     prod *= v ** e
             total += prod
         return total
+
+
+# -- substituting 0 or single terms ----------------------------------------
+
+_Image = tuple[tuple[tuple[int, int], ...], Fraction | None] | None
+
+
+def _images(args: Sequence[Poly]) -> list[_Image]:
+    """Each argument, 0 or one term c * x^a, as None or (nonzero (v, a_v), c).
+
+    The coefficient is None when it is 1, so substitution skips the product.
+    """
+    out: list[_Image] = []
+    for a in args:
+        if not a.terms:
+            out.append(None)
+            continue
+        (exp, c), = a.terms.items()
+        out.append((tuple((v, p) for v, p in enumerate(exp) if p), None if c == 1 else c))
+    return out
+
+
+def _substitute(terms: Mapping[Exponent, Fraction], images: Sequence[_Image],
+                nvars: int) -> dict[Exponent, Fraction]:
+    """The term dict of a polynomial with variable j replaced by images[j].
+
+    Works only on the nonzero entries of each exponent; a term that meets a
+    zero image vanishes, and terms that cancel are dropped.
+    """
+    out: dict[Exponent, Fraction] = {}
+    for exp, c in terms.items():
+        new = [0] * nvars
+        for j, e in enumerate(exp):
+            if not e:
+                continue
+            image = images[j]
+            if image is None:
+                break
+            pairs, ac = image
+            if ac is not None:
+                c = c * ac ** e
+            for v, p in pairs:
+                new[v] += p * e
+        else:
+            key = tuple(new)
+            s = out.get(key)
+            s = c if s is None else s + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
 
 
 @dataclass(frozen=True)
@@ -323,5 +351,13 @@ def compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite: first ``f``, then ``g``."""
     if f.cod_dim != g.dom_dim:
         raise ValueError(f"cod {f.cod_dim} != dom {g.dom_dim}")
-    comps = tuple(c.subs(f.components, nvars=f.dom_dim) for c in g.components)
-    return PolyMap(f.dom_dim, g.cod_dim, comps)
+    # every component of f lives in f.dom_dim variables (PolyMap checks it),
+    # so subs' per-call checks would only repeat; decide the case once
+    args, n = f.components, f.dom_dim
+    if all(len(a.terms) <= 1 for a in args):
+        images = _images(args)
+        comps = tuple(Poly._from_terms(n, _substitute(c.terms, images, n))
+                      for c in g.components)
+    else:
+        comps = tuple(c.subs(args, nvars=n) for c in g.components)
+    return PolyMap(n, g.cod_dim, comps)

@@ -158,7 +158,7 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
                     value = plus if positive else minus
                     old = terms.get(key)
                     terms[key] = value if old is None else old + value
-        components.append(Poly(size, terms))
+        components.append(Poly._from_terms(size, {e: c for e, c in terms.items() if c}))
     return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
 
 

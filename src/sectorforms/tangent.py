@@ -85,19 +85,32 @@ class TangentCoords:
 
 
 def tangent_of_map(f: PolyMap) -> PolyMap:
-    """One application of the tangent functor: exact Jacobian pushforward."""
+    """One application of the tangent functor: exact Jacobian pushforward.
+
+    Tf(x, u) = (f(x), Σ_v ∂_v f(x) · u_v) on R^{2a}, with u_v the variable
+    a + v.  Term by term: c · x^e gives the base term c · x^(e, 0), and,
+    for each v with e_v > 0, the tangent term c · e_v · x^(e − 1_v + 1_(a+v)),
+    one power moved from v to a + v.  Distinct (e, v) give distinct
+    exponents, so nothing cancels.  `sector._cofaces` uses the same shift
+    (docs/coordinate-layout.md, "Derivatives on exponent tuples").
+    """
     a, b = f.dom_dim, f.cod_dim
-    keep = list(range(a))
-    base = [c.embed(2 * a, keep) for c in f.components]
-    tangent = []
-    for c in f.components:
-        t = Poly.zero(2 * a)
-        for j in range(a):
-            d = c.partial(j)
-            if not d.is_zero:
-                t = t + d.embed(2 * a, keep) * Poly.var(2 * a, a + j)
-        tangent.append(t)
-    return PolyMap(2 * a, 2 * b, tuple(base + tangent))
+    n, pad = 2 * a, (0,) * a
+    base, tangent = [], []
+    for comp in f.components:
+        base_terms, terms = {}, {}
+        for exp, c in comp.terms.items():
+            padded = exp + pad
+            base_terms[padded] = c
+            for v, e in enumerate(exp):
+                if e:
+                    new = list(padded)
+                    new[v] = e - 1
+                    new[a + v] = 1
+                    terms[tuple(new)] = c * e if e > 1 else c
+        base.append(Poly._from_terms(n, base_terms))
+        tangent.append(Poly._from_terms(n, terms))
+    return PolyMap(n, 2 * b, tuple(base + tangent))
 
 
 def iterate_tangent(f: PolyMap, n: int) -> PolyMap:

@@ -141,6 +141,27 @@ def in_span(basis_rows, target):
     return rank([*basis_rows, target]) == rank(basis_rows)
 
 
+# -- reference tangent functor: partial derivatives and products --------
+#
+# The package writes each term of the Jacobian pushforward from its
+# exponent tuple; this builds Tf(x, u) = (f(x), sum_j d_j f(x) * u_j) with
+# `Poly.partial`, `embed` and products, and is the oracle for it.
+
+def reference_tangent_of_map(f):
+    a, b = f.dom_dim, f.cod_dim
+    keep = list(range(a))
+    base = [c.embed(2 * a, keep) for c in f.components]
+    tangent = []
+    for c in f.components:
+        t = Poly.zero(2 * a)
+        for j in range(a):
+            d = c.partial(j)
+            if not d.is_zero:
+                t = t + d.embed(2 * a, keep) * Poly.var(2 * a, a + j)
+        tangent.append(t)
+    return PolyMap(2 * a, 2 * b, tuple(base + tangent))
+
+
 # -- reference whiskers: the generic tangent-functor constructions -------
 #
 # The package builds each whisker from its closed-form index table; these

@@ -137,6 +137,16 @@ class TestApplyAndDerive:
         assert code == 2
         assert out["error"] == "bad-format"
 
+    @pytest.mark.parametrize("exp", ([-1, 1], [1], [0, 1, 0]),
+                             ids=["negative", "short", "long"])
+    def test_bad_exponent_rejected(self, tmp_path, capsys, exp):
+        payload = sectorform_to_dict(line_one_form(Poly.var(1, 0)))
+        payload["body"]["components"][0]["terms"][0]["exp"] = exp
+        form = write_json(tmp_path, "form.json", payload)
+        code, out, _ = run(capsys, "derive", "--form", form)
+        assert code == 2
+        assert out["error"] == "bad-format"
+
     def test_invalid_form_rejected(self, tmp_path, capsys):
         v = Poly.var(2, 1)
         bad = SectorForm(1, 1, 1, PolyMap(2, 1, (v * v,)))

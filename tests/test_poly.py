@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 
 from sectorforms.poly import Poly, PolyMap, compose, coordinate_map, identity_map, zero_map
+from sectorforms.sector import coface, exterior_derivative
+from sectorforms.tangent import tangent_of_map
+
+from helpers import random_sector_form
 
 F = Fraction
 
@@ -16,6 +20,35 @@ def random_poly(rng, nvars, deg=3, nterms=4):
             exp[rng.randrange(nvars)] += 1
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + F(rng.randint(-4, 4), rng.randint(1, 3))
     return Poly(nvars, terms)
+
+
+def random_arg(rng, nvars, single):
+    """0, one term with coefficient and powers drawn freely, or several terms."""
+    if rng.random() < 0.2:
+        return Poly.zero(nvars)
+    nterms = 1 if single else rng.randint(2, 3)
+    return Poly(nvars, {tuple(rng.choice((0, 0, 1, 2)) for _ in range(nvars)):
+                        F(rng.choice((1, 1, -1, 2, -3)), rng.randint(1, 3))
+                        for _ in range(nterms)})
+
+
+def reference_subs(p, args, nvars):
+    """Substitution by ring arithmetic alone: sum of c * prod(args[j] ** e_j)."""
+    total = Poly.zero(nvars)
+    for exp, c in p.terms.items():
+        term = Poly.const(nvars, c)
+        for a, e in zip(args, exp):
+            term = term * a ** e
+        total = total + term
+    return total
+
+
+def assert_built(p, nvars):
+    """What `Poly.__init__` enforces, and `jsonio.poly_to_dict` relies on."""
+    assert p.nvars == nvars
+    for exp, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(exp) == nvars and all(type(e) is int and e >= 0 for e in exp)
 
 
 def interpolate_coefficients(points, values):
@@ -154,7 +187,75 @@ class TestPolyMap:
         assert f - f == zero_map(2, 2)
         assert (f + f).components[0] == f.components[0].scale(2)
 
+    def test_compose_matches_componentwise_subs(self):
+        rng = random.Random(606)
+        for trial in range(80):
+            a, b = rng.randint(0, 3), rng.randint(0, 3)
+            f = PolyMap(a, b, tuple(random_arg(rng, a, single=trial % 4 != 3)
+                                    for _ in range(b)))
+            g = PolyMap(b, 2, tuple(random_arg(rng, b, single=False) for _ in range(2)))
+            got = compose(f, g).components
+            assert got == tuple(p.subs(f.components, nvars=a) for p in g.components)
+            assert got == tuple(reference_subs(p, f.components, a) for p in g.components)
+
+    def test_compose_drops_cancelled_terms(self):
+        # 3 x0^2 - 12 x1 - x2 at (2y, y^2, 0) is 0; x2 alone meets the zero argument
+        y = Poly.var(1, 0)
+        f = PolyMap(1, 3, (y.scale(2), y * y, Poly.zero(1)))
+        g = PolyMap(3, 2, (Poly(3, {(2, 0, 0): 3, (0, 1, 0): -12, (0, 0, 1): -1}),
+                           Poly(3, {(0, 1, 0): F(1, 2), (1, 0, 0): 1})))
+        h = compose(f, g)
+        assert h.components[0].terms == {}
+        assert h.components[1] == Poly(1, {(2,): F(1, 2), (1,): 2})
+
+    def test_compose_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError):
+            compose(identity_map(2), identity_map(3))
+        with pytest.raises(ValueError):
+            compose(zero_map(1, 0), identity_map(1))
+
     def test_zero_dimensional_domain(self):
         point = PolyMap(0, 2, (Poly.const(0, 3), Poly.const(0, 5)))
         through = compose(zero_map(2, 0), point)
         assert through((F(9), F(9))) == (F(3), F(5))
+
+
+class TestBuiltPolynomials:
+    """Polynomials the package builds itself skip the constructor's checks."""
+
+    def test_no_zero_coefficients_and_only_fractions(self):
+        rng = random.Random(707)
+        for trial in range(40):
+            a, b = rng.randint(0, 3), rng.randint(1, 3)
+            f = PolyMap(a, b, tuple(random_arg(rng, a, single=trial % 2 == 0)
+                                    for _ in range(b)))
+            g = PolyMap(b, 2, tuple(random_arg(rng, b, single=False) for _ in range(2)))
+            for p in compose(f, g).components:
+                assert_built(p, a)
+            for p in tangent_of_map(f).components:
+                assert_built(p, 2 * a)
+            for p in g.components:
+                assert_built(p.subs(f.components, nvars=a), a)
+                assert_built(p.embed(b + 2, [b + 1 - j for j in range(b)]), b + 2)
+                assert_built(p.embed(1, [0] * b), 1)
+            for j in range(a):
+                assert_built(Poly.var(a, j), a)
+        # x0 - x1 with both variables renamed to y cancels
+        assert Poly(2, {(1, 0): 1, (0, 1): -1}).embed(1, [0, 0]).terms == {}
+
+    def test_sector_derivatives_drop_cancelled_terms(self):
+        # d(d(w)) = 0 cancels every term the cofaces produce
+        rng = random.Random(808)
+        for n, m in ((1, 1), (2, 1), (2, 2), (3, 1)):
+            w = random_sector_form(rng, n, m, 2)
+            dw = exterior_derivative(w)
+            assert exterior_derivative(dw).body.components[0].terms == {}
+            for form in (dw, coface(w, n + 1)):
+                for p in form.body.components:
+                    assert_built(p, form.body.dom_dim)
+
+    @pytest.mark.parametrize("exp", ((1,), (0, -1), (1, 0, 0)),
+                             ids=["short", "negative", "long"])
+    def test_public_constructor_still_checks(self, exp):
+        with pytest.raises(ValueError):
+            Poly(2, {exp: 1})

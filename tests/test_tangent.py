@@ -59,6 +59,7 @@ from helpers import (
     reference_flip_whisker,
     reference_lift_whisker,
     reference_multilinearity_probe,
+    reference_tangent_of_map,
 )
 
 
@@ -136,6 +137,29 @@ class TestTangentFunctor:
         X, V1, V2, D = (Poly.var(4, j) for j in range(4))
         assert t2 == PolyMap(4, 4, (X * X, (X * V1).scale(2),
                                     (X * V2).scale(2), (V1 * V2).scale(2) + (X * D).scale(2)))
+
+    def test_matches_partial_derivative_reference(self):
+        # Fraction coefficients, zero and constant components, dom_dim 0,
+        # exponents above 1; the second iterate differentiates the first
+        rng = random.Random(505)
+        for a in range(5):
+            for _ in range(10):
+                comps = []
+                for _ in range(rng.randint(1, 3)):
+                    kind = rng.randrange(4)
+                    if kind == 0:
+                        comps.append(Poly.zero(a))
+                    elif kind == 1:
+                        comps.append(Poly.const(a, F(rng.randint(-5, 5), rng.randint(1, 4))))
+                    else:
+                        comps.append(Poly(a, {
+                            tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(a)):
+                                F(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in range(rng.randint(1, 5))}))
+                f = PolyMap(a, len(comps), tuple(comps))
+                tf = tangent_of_map(f)
+                assert tf == reference_tangent_of_map(f)
+                assert tangent_of_map(tf) == reference_tangent_of_map(tf)
 
     def test_tangent_part_matches_termwise_derivative_oracle(self):
         # assemble the expected Jacobian pushforward without Poly.partial
