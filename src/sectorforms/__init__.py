@@ -34,11 +34,9 @@ from .tangent import (
     bundle_projection,
     canonical_flip,
     fibre_addition,
-    flip_cycle,
     flip_whisker,
     iterate_tangent,
     lift_whisker,
-    multilinearity_probe,
     origin_lift,
     principal_projection,
     realize_surjection,

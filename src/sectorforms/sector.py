@@ -21,11 +21,12 @@ The operators:
 * ``pullback``                precompose with an iterated tangent of a
   polynomial map of base spaces.
 
-The three derivative operators never build a map: on the bitmask layout
+Every operator but ``pullback`` rewrites exponent tuples and builds no
+map: on the bitmask layout each whisker is a table of source masks, and
 the Jacobian followed by the principal projection moves one power of a
-variable v to v + m*2^n, and the flip cycle permutes flat indices, so
-`_cofaces` rewrites exponent tuples directly
-(docs/coordinate-layout.md, "Derivatives on exponent tuples").
+variable v to v + m*2^n (docs/coordinate-layout.md, "Derivatives on
+exponent tuples" and "Linearity, codegeneracy and symmetry on exponent
+tuples").
 
 Alternating forms (every adjacent swap acts as negation) are the
 singular forms; they are closed under the exterior derivative.
@@ -37,15 +38,7 @@ from dataclasses import dataclass
 
 from .fincard import DELTA, EPSILON, FinMap, factor_map
 from .poly import Poly, PolyMap, compose, zero_map
-from .tangent import (
-    _cycle_sources,
-    flip_whisker,
-    iterate_tangent,
-    lift_whisker,
-    multilinearity_probe,
-    origin_lift,
-    tangent_of_map,
-)
+from .tangent import _cycle_sources, _flat_sources, _lift_sources, _swap_sources, iterate_tangent
 
 
 @dataclass(frozen=True)
@@ -64,6 +57,9 @@ class SectorForm:
     def __post_init__(self):
         if self.n < 0 or self.m < 1 or self.k < 1:
             raise ValueError("need degree >= 0, base dim >= 1, value dim >= 1")
+        if self.n >= self.body.dom_dim.bit_length():  # m << n has more than n bits
+            raise ValueError(f"body is {self.body.dom_dim}->{self.body.cod_dim}, "
+                             f"too small for degree {self.n}")
         expect = self.m << self.n
         if (self.body.dom_dim, self.body.cod_dim) != (expect, self.k):
             raise ValueError(
@@ -101,16 +97,16 @@ def multilinearity_failures(omega: SectorForm) -> tuple[int, ...]:
     """Indices i whose linearity equation fails, in ascending order.
 
     The equation at i: probing the Jacobian at position i returns the
-    form itself, lifted through the origin.
+    form itself, lifted through the origin.  The probe keeps the part of
+    degree exactly 1 in the coordinates of level n-i+1 (mask bit n-i), so
+    the equation holds when every monomial has degree 1 there.
     """
-    if omega.n == 0:
-        return ()
-    jac = tangent_of_map(omega.body)
-    rhs = compose(omega.body, origin_lift(omega.k))
+    n, m = omega.n, omega.m
+    exps = [exp for comp in omega.body.components for exp in comp.terms]
     bad = []
-    for i in range(1, omega.n + 1):
-        lhs = compose(multilinearity_probe(omega.m, omega.n, i), jac)
-        if lhs != rhs:
+    for i in range(1, n + 1):
+        level = [flat for flat in range(m << n) if flat // m >> (n - i) & 1]
+        if any(sum(exp[flat] for flat in level) != 1 for exp in exps):
             bad.append(i)
     return tuple(bad)
 
@@ -125,6 +121,32 @@ def _require_sector(omega: SectorForm):
         raise ValueError(f"not a sector form: linearity fails at positions {list(bad)}")
 
 
+def _reindex(omega: SectorForm, n: int, sources: list[int | None]) -> SectorForm:
+    """Precompose the body with the degree-n whisker of a source-mask table.
+
+    The exponent at flat index mask*m + j moves to sources[mask]*m + j; a
+    term with a positive exponent where sources[mask] is None is 0.  The
+    tables are injective where defined, so distinct terms stay distinct.
+    """
+    m, size = omega.m, omega.m << n
+    where = _flat_sources(m, sources)
+    components = []
+    for comp in omega.body.components:
+        terms = {}
+        for exp, c in comp.terms.items():
+            out = [0] * size
+            for flat, e in enumerate(exp):
+                if e:
+                    to = where[flat]
+                    if to is None:
+                        break
+                    out[to] = e
+            else:
+                terms[tuple(out)] = c
+        components.append(Poly._from_terms(size, terms))
+    return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
+
+
 def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     """The sum of signs[i] * coface(omega, i), signs +-1, on exponent tuples.
 
@@ -135,10 +157,7 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     """
     m, n = omega.m, omega.n + 1
     half, size = m << omega.n, m << n
-    moves = []
-    for i, sign in signs.items():
-        src = _cycle_sources(n, i)
-        moves.append((sign > 0, [src[flat // m] * m + flat % m for flat in range(size)]))
+    moves = [(sign > 0, _flat_sources(m, _cycle_sources(n, i))) for i, sign in signs.items()]
     components = []
     for comp in omega.body.components:
         terms = {}
@@ -193,8 +212,7 @@ def codegeneracy(omega: SectorForm, i: int, validate: bool = True) -> SectorForm
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
     if validate:
         _require_sector(omega)
-    body = compose(lift_whisker(omega.m, omega.n - 1, i), omega.body)
-    return SectorForm(omega.n - 1, omega.m, omega.k, body)
+    return _reindex(omega, omega.n - 1, _lift_sources(omega.n - 1, i))
 
 
 def symmetry(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
@@ -203,8 +221,7 @@ def symmetry(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
     if validate:
         _require_sector(omega)
-    body = compose(flip_whisker(omega.m, omega.n, i), omega.body)
-    return SectorForm(omega.n, omega.m, omega.k, body)
+    return _reindex(omega, omega.n, _swap_sources(omega.n, i))
 
 
 def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> SectorForm:
@@ -242,9 +259,8 @@ def exterior_derivative(omega: SectorForm, validate: bool = True) -> SectorForm:
 
 def is_alternating(omega: SectorForm) -> bool:
     """Every adjacent swap acts as negation (vacuous below degree 2)."""
-    return all(
-        compose(flip_whisker(omega.m, omega.n, i), omega.body) == -omega.body
-        for i in range(1, omega.n))
+    negated = -omega
+    return all(symmetry(omega, i, validate=False) == negated for i in range(1, omega.n))
 
 
 def pullback(omega: SectorForm, phi: PolyMap, validate: bool = True) -> SectorForm:

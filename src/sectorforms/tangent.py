@@ -170,12 +170,17 @@ def principal_projection(k: int) -> PolyMap:
 # Every whisker is a coordinate map of the bitmask layout
 # (docs/coordinate-layout.md): output coordinate (mask, j) reads input
 # coordinate (src, j), or is 0, so each one is built from a table of
-# source masks in closed form.
+# source masks in closed form.  The sector operators rewrite exponent
+# tuples through the same tables instead of building the maps.
+
+def _flat_sources(m: int, sources: Iterable[int | None]) -> list[int | None]:
+    """Expand a table of source masks to flat indices: mask*m + j reads sources[mask]*m + j."""
+    return [None if src is None else src * m + j for src in sources for j in range(m)]
+
 
 def _mask_map(m: int, depth: int, sources: Iterable[int | None]) -> PolyMap:
     """Coordinate map on T^depth R^m; output block mask reads block sources[mask]."""
-    return coordinate_map(m << depth, [None if src is None else src * m + j
-                                       for src in sources for j in range(m)])
+    return coordinate_map(m << depth, _flat_sources(m, sources))
 
 
 def _lift_sources(n: int, i: int) -> list[int | None]:
@@ -189,7 +194,13 @@ def _lift_sources(n: int, i: int) -> list[int | None]:
     return out
 
 
+def _swap_sources(n: int, i: int) -> list[int]:
+    a = n - i - 1
+    return [mask ^ ((mask >> a ^ mask >> (a + 1)) & 1) * (3 << a) for mask in range(1 << n)]
+
+
 def _cycle_sources(n: int, i: int) -> list[int]:
+    """The descending cycle of levels at i: mask bits n-i .. n-1 rotated left by one."""
     shift, field = n - i, (1 << i) - 1
     out = []
     for mask in range(1 << n):
@@ -219,36 +230,7 @@ def flip_whisker(m: int, n: int, i: int) -> PolyMap:
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
-    a = n - i - 1
-    sources = []
-    for mask in range(1 << n):
-        differ = (mask >> a ^ mask >> (a + 1)) & 1
-        sources.append(mask ^ (differ << a | differ << (a + 1)))
-    return _mask_map(m, n, sources)
-
-
-def flip_cycle(m: int, n: int, i: int) -> PolyMap:
-    """The descending composite of swaps at indices i-1, ..., 1 on T^n R^m.
-
-    Index 1 is the empty composite, the identity; this realizes the
-    descending cycle permutation on tangent levels, rotating the mask
-    bits n-i .. n-1 left by one.
-    """
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return _mask_map(m, n, _cycle_sources(n, i))
-
-
-def multilinearity_probe(m: int, n: int, i: int) -> PolyMap:
-    """Lift at index i followed by the flip cycle: T^n R^m -> T^{n+1} R^m.
-
-    Precomposing the Jacobian of a candidate form with this map probes
-    its linearity in tangent variable i.
-    """
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    lift = _lift_sources(n, i)
-    return _mask_map(m, n, [lift[src] for src in _cycle_sources(n + 1, i)])
+    return _mask_map(m, n, _swap_sources(n, i))
 
 
 # -- realizing finite-cardinal surjections ------------------------------

@@ -28,9 +28,7 @@ from sectorforms.sector import (
 from sectorforms.tangent import (
     TangentCoords,
     canonical_flip,
-    flip_cycle,
     iterate_tangent,
-    multilinearity_probe,
     origin_lift,
     principal_projection,
     tangent_of_map,
@@ -164,27 +162,62 @@ def reference_tangent_of_map(f):
 
 # -- reference whiskers: the generic tangent-functor constructions -------
 #
-# The package builds each whisker from its closed-form index table; these
-# build the same maps by iterating the tangent functor over the structural
-# maps and composing, and serve as the oracle for the tables.
+# The package builds each whisker from its closed-form index table, and
+# the sector operators rewrite exponent tuples through the same tables;
+# these build the maps by iterating the tangent functor over the
+# structural maps and composing, and serve as the oracle for both.  Maps
+# are immutable, so each shape is built once.
 
+@lru_cache(maxsize=None)
 def reference_lift_whisker(m, n, i):
     return iterate_tangent(vertical_lift(m << (n - i)), i - 1)
 
 
+@lru_cache(maxsize=None)
 def reference_flip_whisker(m, n, i):
     return iterate_tangent(canonical_flip(m << (n - i - 1)), i - 1)
 
 
+@lru_cache(maxsize=None)
 def reference_flip_cycle(m, n, i):
+    """The descending composite of swaps at indices i-1, ..., 1 on T^n R^m."""
     out = identity_map(m << n)
     for j in range(i - 1, 0, -1):
         out = compose(out, reference_flip_whisker(m, n, j))
     return out
 
 
+@lru_cache(maxsize=None)
 def reference_multilinearity_probe(m, n, i):
+    """Lift at index i, then the flip cycle: T^n R^m -> T^{n+1} R^m."""
     return compose(reference_lift_whisker(m, n, i), reference_flip_cycle(m, n + 1, i))
+
+
+# -- reference linearity test: the probe equations as polynomial maps ---
+#
+# The package reads each position's equation off the exponent tuples;
+# this composes the probe with the Jacobian of the body and compares it
+# with the body lifted through the origin.
+
+def reference_multilinearity_failures(omega):
+    if omega.n == 0:
+        return ()
+    jac = tangent_of_map(omega.body)
+    rhs = compose(omega.body, origin_lift(omega.k))
+    return tuple(i for i in range(1, omega.n + 1)
+                 if compose(reference_multilinearity_probe(omega.m, omega.n, i), jac) != rhs)
+
+
+# -- reference codegeneracy and symmetry: precompose with the whiskers --
+
+def reference_codegeneracy(omega, i):
+    body = compose(reference_lift_whisker(omega.m, omega.n - 1, i), omega.body)
+    return SectorForm(omega.n - 1, omega.m, omega.k, body)
+
+
+def reference_symmetry(omega, i):
+    body = compose(reference_flip_whisker(omega.m, omega.n, i), omega.body)
+    return SectorForm(omega.n, omega.m, omega.k, body)
 
 
 # -- reference sector basis: an ansatz and its linearity equations ------
@@ -209,7 +242,7 @@ def reference_sector_basis(n, m, d):
                     term = term * Poly.var(size, mask * m + (pick - 1))
             candidates.append(term)
     lam = origin_lift(1)
-    probes = [multilinearity_probe(m, n, i) for i in range(1, n + 1)]
+    probes = [reference_multilinearity_probe(m, n, i) for i in range(1, n + 1)]
     rows = {}
     for col, cand in enumerate(candidates):
         body = PolyMap(size, 1, (cand,))
@@ -238,9 +271,6 @@ def reference_sector_basis(n, m, d):
 # shape, and the Jacobian and cofaces of the last few forms are kept, so
 # checking every operator on one form differentiates it once.
 
-_flip_cycle = lru_cache(maxsize=None)(flip_cycle)
-
-
 @lru_cache(maxsize=8)
 def reference_fundamental_derivative(omega):
     body = compose(tangent_of_map(omega.body), principal_projection(omega.k))
@@ -249,7 +279,7 @@ def reference_fundamental_derivative(omega):
 
 @lru_cache(maxsize=64)
 def reference_coface(omega, i):
-    body = compose(_flip_cycle(omega.m, omega.n + 1, i),
+    body = compose(reference_flip_cycle(omega.m, omega.n + 1, i),
                    reference_fundamental_derivative(omega).body)
     return SectorForm(omega.n + 1, omega.m, omega.k, body)
 

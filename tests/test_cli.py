@@ -147,6 +147,15 @@ class TestApplyAndDerive:
         assert code == 2
         assert out["error"] == "bad-format"
 
+    def test_huge_degree_rejected(self, tmp_path, capsys):
+        # m << n for this n would be a 125 GB integer; it must never be built
+        payload = sectorform_to_dict(line_one_form(Poly.var(1, 0)))
+        payload["n"] = 10 ** 12
+        form = write_json(tmp_path, "form.json", payload)
+        code, out, _ = run(capsys, "derive", "--form", form)
+        assert code == 2
+        assert out["error"] == "bad-format"
+
     def test_invalid_form_rejected(self, tmp_path, capsys):
         v = Poly.var(2, 1)
         bad = SectorForm(1, 1, 1, PolyMap(2, 1, (v * v,)))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -8,16 +9,22 @@ from helpers import (
     random_finmap,
     random_sector_form,
     random_surjection,
+    reference_codegeneracy,
     reference_coface,
     reference_exterior_derivative,
     reference_fundamental_derivative,
+    reference_multilinearity_failures,
+    reference_symmetry,
 )
+from sectorforms import poly, sector, tangent
 from sectorforms.cohomology import sector_basis
 from sectorforms.fincard import (
     DELTA,
     EPSILON,
+    SIGMA,
     FinMap,
     compose as fc_compose,
+    factor_map,
     identity,
     _relation_instances,
 )
@@ -64,6 +71,13 @@ class TestSectorFormType:
             SectorForm(2, 1, 1, PolyMap(2, 1, (Poly.var(2, 0),)))
         SectorForm(1, 1, 1, PolyMap(2, 1, (Poly.var(2, 1),)))
 
+    def test_degree_beyond_body_rejected_before_shifting(self):
+        # m << n would need n bits; the check must not compute it
+        with pytest.raises(ValueError, match="too small for degree"):
+            SectorForm(10 ** 12, 1, 1, PolyMap(2, 1, (Poly.var(2, 1),)))
+        with pytest.raises(ValueError, match="too small for degree"):
+            SectorForm(2, 1, 1, PolyMap(3, 1, (Poly.var(3, 1),)))
+
     def test_addition_and_zero(self):
         w = line_one_form(F_POLY)
         assert (w - w).is_zero
@@ -93,6 +107,28 @@ class TestIsSectorForm:
 
     def test_zero_forms_trivially_pass(self):
         assert is_sector_form(SectorForm(0, 2, 1, PolyMap(2, 1, (Poly.var(2, 0) * Poly.var(2, 1),))))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_every_small_monomial_matches_reference(self, n):
+        for m in (1, 2):
+            size = m << n
+            for deg in range(4):
+                for flats in combinations_with_replacement(range(size), deg):
+                    exp = [0] * size
+                    for flat in flats:
+                        exp[flat] += 1
+                    body = PolyMap(size, 1, (Poly.monomial(size, tuple(exp), F(3, 2)),))
+                    w = SectorForm(n, m, 1, body)
+                    assert multilinearity_failures(w) == reference_multilinearity_failures(w), exp
+
+    def test_multi_term_forms_match_reference(self):
+        outcomes = set()
+        for w in perturbed_vector_forms(61, 120):
+            got = multilinearity_failures(w)
+            assert got == reference_multilinearity_failures(w)
+            outcomes.add(len(got) / w.n)
+        # passing, partly failing and wholly failing forms all occur
+        assert 0 in outcomes and 1 in outcomes and len(outcomes) > 3
 
 
 class TestFundamentalDerivative:
@@ -350,8 +386,30 @@ REFERENCE_CASES = {
 }
 
 
+def perturbed_vector_forms(seed, count):
+    """Seeded two-component forms, some nudged off the sector-form equations.
+
+    Each component is a random sum of partition monomials; up to two of
+    its terms are copied with one exponent raised or lowered by one.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(1, 4), rng.randint(1, 2)
+        comps = []
+        for _ in range(2):
+            body = random_sector_form(rng, n, m, 1).body.components[0]
+            extra = {}
+            for exp in list(body.terms)[:rng.randint(0, 2)]:
+                exp = list(exp)
+                flat = rng.randrange(len(exp))
+                exp[flat] = max(0, exp[flat] + rng.choice((-1, 1)))
+                extra[tuple(exp)] = F(rng.randint(1, 5), rng.randint(1, 3))
+            comps.append(body + Poly(m << n, extra))
+        yield SectorForm(n, m, 2, PolyMap(m << n, 2, tuple(comps)))
+
+
 class TestComposeReference:
-    """The exponent-tuple derivatives equal the composed polynomial maps."""
+    """The exponent-tuple operators equal the composed polynomial maps."""
 
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_derivatives_match_reference(self, case):
@@ -360,6 +418,33 @@ class TestComposeReference:
             for i in range(1, w.n + 2):
                 assert coface(w, i, validate=False) == reference_coface(w, i), i
             assert exterior_derivative(w, validate=False) == reference_exterior_derivative(w)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_reindexing_matches_reference(self, case):
+        for w in REFERENCE_CASES[case]():
+            swapped = [reference_symmetry(w, i) for i in range(1, w.n)]
+            for i in range(1, w.n):
+                assert codegeneracy(w, i, validate=False) == reference_codegeneracy(w, i), i
+                assert symmetry(w, i, validate=False) == swapped[i - 1], i
+            assert is_alternating(w) == all(s == -w for s in swapped)
+
+    def test_operators_build_no_map(self, monkeypatch):
+        # every operator but pullback works on exponent tuples
+        w = random_sector_form(random.Random(25), 3, 2, 1)
+        f = FinMap(3, 4, (3, 1, 1))
+        assert {g.kind for g in factor_map(f).gens} == {DELTA, EPSILON, SIGMA}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sector operator built or composed a map")
+
+        for module in (poly, tangent, sector):
+            for name in ("compose", "coordinate_map", "tangent_of_map", "iterate_tangent",
+                         "lift_whisker", "flip_whisker"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert multilinearity_failures(w) == ()
+        assert apply_cardinal_map(w, f).n == 4
+        assert exterior_derivative(w).n == 4
+        assert not is_alternating(w)
 
 
 class TestAlternating:
