@@ -65,7 +65,6 @@ from .sector import (
 from .cohomology import (
     ComplexReport,
     SizeError,
-    alternating_subbasis,
     complex_report,
     sector_basis,
     singular_basis,

@@ -4,10 +4,12 @@
 bounded degree times one tangent coordinate per block of a set partition
 of the tangent levels.  Linearity in each level forces exactly this
 shape, so the monomials are a basis and no equations are solved.
-`complex_report` assembles the boundary maps of the resulting
-degree-bounded complex, certifies that the boundary squares to zero, and
-reports kernel/image/cohomology ranks for the full complex and for the
-alternating (singular) subcomplex.
+`singular_basis` writes down the alternating (singular) forms as the
+images of the polynomial de Rham forms (docs/coordinate-layout.md,
+"Alternating forms are de Rham forms").  `complex_report` assembles the
+boundary maps of the resulting degree-bounded complex, certifies that
+the boundary squares to zero, and reports kernel/image/cohomology ranks
+for the full complex and for the alternating subcomplex.
 
 Truncation note: the exterior derivative differentiates base
 coefficients, so the image at level n is computed from the level-(n-1)
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 
-from .linalg import nullspace, rank
+from .linalg import rank
 from .poly import Poly, PolyMap
-from .sector import SectorForm, exterior_derivative, symmetry
+from .sector import SectorForm, exterior_derivative
 
 
 class SizeError(ValueError):
@@ -110,32 +113,43 @@ def _body_vector(form: SectorForm) -> dict:
     return vec
 
 
-def alternating_subbasis(basis: list[SectorForm]) -> list[SectorForm]:
-    """Basis of the alternating (singular) subspace of a span of sector forms."""
-    if not basis:
-        return []
-    n = basis[0].n
-    if n < 2:
-        return list(basis)
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, form in enumerate(basis):
-        for i in range(1, n):
-            residual = symmetry(form, i, validate=False) + form
-            for key, coeff in _body_vector(residual).items():
-                rows.setdefault((i,) + key, {})[col] = coeff
-    combos = nullspace(list(rows.values()), len(basis))
-    out = []
-    for vec in combos:
-        total = SectorForm.zero(n, basis[0].m, basis[0].k)
-        for col, coeff in sorted(vec.items()):
-            total = total + basis[col].scale(coeff)
-        out.append(total)
-    return out
-
-
 def singular_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[SectorForm]:
-    """A basis of singular (alternating sector) n-forms at coefficient bound d."""
-    return alternating_subbasis(sector_basis(n, m, d, max_candidates))
+    """A basis of singular (alternating sector) n-forms at coefficient bound d.
+
+    The image of the polynomial de Rham n-forms x^e dx_J, |e| <= d, under
+
+        Phi(x^e dx_J) = (-1)^(n(n-1)/2) x^e sum_sigma sgn(sigma) prod_l u(l, j_sigma(l)),
+
+    with J = j_1 < ... < j_n and u(l, j) the coordinate (j, {l}) at flat
+    index m*2^(l-1) + j-1.  Order: base exponents as in `sector_basis`,
+    then J in `itertools.combinations` order.  There are C(m+d, m)*C(m, n)
+    forms, none when n > m; the guard compares their C(m+d, m)*C(m, n)*n!
+    monomials before anything is built.
+    """
+    if n < 0 or m < 1 or d < 0:
+        raise ValueError("need n >= 0, m >= 1, d >= 0")
+    count = comb(m + d, m) * comb(m, n) * factorial(n)
+    if count > max_candidates:
+        raise SizeError(
+            f"{count} monomials at (n={n}, m={m}, d={d}) "
+            f"exceed the guard of {max_candidates}")
+    if n > m:
+        return []
+    size = m << n
+    # (-1)^(n(n-1)/2) sgn(sigma) is -1 to the number of ascending pairs of sigma
+    signed = [(Fraction((-1) ** sum(a < b for a, b in combinations(p, 2))), p)
+              for p in permutations(range(n))]
+    out = []
+    for base in _base_exponents(m, d):
+        for js in combinations(range(m), n):
+            terms = {}
+            for sign, perm in signed:
+                exp = list(base) + [0] * (size - m)
+                for level, k in enumerate(perm):
+                    exp[(m << level) + js[k]] = 1
+                terms[tuple(exp)] = sign
+            out.append(SectorForm(n, m, 1, PolyMap(size, 1, (Poly._from_terms(size, terms),))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,8 +222,8 @@ def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> C
         raise ValueError("need n_max >= 0")
     bases_d = [sector_basis(nu, m, d, max_candidates) for nu in range(n_max + 1)]
     bases_up = [sector_basis(nu, m, d + 1, max_candidates) for nu in range(n_max)]
-    alt_d = [alternating_subbasis(b) for b in bases_d]
-    alt_up = [alternating_subbasis(b) for b in bases_up]
+    alt_d = [singular_basis(nu, m, d, max_candidates) for nu in range(n_max + 1)]
+    alt_up = [singular_basis(nu, m, d + 1, max_candidates) for nu in range(n_max)]
 
     derived: dict[SectorForm, tuple[dict, bool]] = {}
     verified = True

@@ -165,9 +165,6 @@ class GenWord:
     def __len__(self):
         return len(self.gens)
 
-    def kinds_used(self) -> set[str]:
-        return {g.kind for g in self.gens}
-
 
 def eval_word(w: GenWord, realize: Callable[[Generator], FinMap] = generator_map) -> FinMap:
     """Left-to-right composite of the generator realizations."""

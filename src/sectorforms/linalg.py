@@ -57,23 +57,3 @@ def rref(rows: Sequence[Row]) -> tuple[list[Row], dict[Hashable, int]]:
 def rank(rows: Sequence[Row]) -> int:
     return len(rref(rows)[0])
 
-
-def nullspace(rows: Sequence[Row], ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of the right kernel of a matrix with integer columns 0..ncols-1.
-
-    One basis vector per free column, with a 1 in that column; vectors are
-    returned in ascending free-column order.
-    """
-    reduced, pivots = rref(rows)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
-        for col, ridx in pivots.items():
-            val = reduced[ridx].get(free)
-            if val:
-                vec[col] = -val
-        basis.append(vec)
-    return basis
-

@@ -103,6 +103,8 @@ def multilinearity_failures(omega: SectorForm) -> tuple[int, ...]:
     """
     n, m = omega.n, omega.m
     exps = [exp for comp in omega.body.components for exp in comp.terms]
+    if not exps:  # the level lists are m << n long; a term's exponent bounds them
+        return ()
     bad = []
     for i in range(1, n + 1):
         level = [flat for flat in range(m << n) if flat // m >> (n - i) & 1]
@@ -121,15 +123,18 @@ def _require_sector(omega: SectorForm):
         raise ValueError(f"not a sector form: linearity fails at positions {list(bad)}")
 
 
-def _reindex(omega: SectorForm, n: int, sources: list[int | None]) -> SectorForm:
-    """Precompose the body with the degree-n whisker of a source-mask table.
+def _reindex(omega: SectorForm, n: int, table, i: int) -> SectorForm:
+    """Precompose the body with the degree-n whisker of the table(n, i) source masks.
 
     The exponent at flat index mask*m + j moves to sources[mask]*m + j; a
     term with a positive exponent where sources[mask] is None is 0.  The
     tables are injective where defined, so distinct terms stay distinct.
+    The table is built only when some term's exponent bounds its size.
     """
+    if omega.is_zero:
+        return SectorForm.zero(n, omega.m, omega.k)
     m, size = omega.m, omega.m << n
-    where = _flat_sources(m, sources)
+    where = _flat_sources(m, table(n, i))
     components = []
     for comp in omega.body.components:
         terms = {}
@@ -154,7 +159,10 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     and principal projection give c * e_v * x^(e - 1_v + 1_(v + half)),
     half = m << omega.n; the coface at i then moves the exponent at flat
     index mask*m + j to src[mask]*m + j, src the flip-cycle table at i.
+    The tables are built only when some term's exponent bounds their size.
     """
+    if omega.is_zero:
+        return SectorForm.zero(omega.n + 1, omega.m, omega.k)
     m, n = omega.m, omega.n + 1
     half, size = m << omega.n, m << n
     moves = [(sign > 0, _flat_sources(m, _cycle_sources(n, i))) for i, sign in signs.items()]
@@ -212,7 +220,7 @@ def codegeneracy(omega: SectorForm, i: int, validate: bool = True) -> SectorForm
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
     if validate:
         _require_sector(omega)
-    return _reindex(omega, omega.n - 1, _lift_sources(omega.n - 1, i))
+    return _reindex(omega, omega.n - 1, _lift_sources, i)
 
 
 def symmetry(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
@@ -221,7 +229,7 @@ def symmetry(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
     if validate:
         _require_sector(omega)
-    return _reindex(omega, omega.n, _swap_sources(omega.n, i))
+    return _reindex(omega, omega.n, _swap_sources, i)
 
 
 def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> SectorForm:

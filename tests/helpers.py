@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from sectorforms.fincard import (
     EPSILON,
@@ -15,7 +15,8 @@ from sectorforms.fincard import (
     generator_map,
     identity,
 )
-from sectorforms.linalg import nullspace, rank
+from sectorforms.cohomology import _body_vector
+from sectorforms.linalg import rank, rref
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
 from sectorforms.sector import (
     SectorForm,
@@ -137,6 +138,26 @@ def apply_generator_word(form, gens):
 def in_span(basis_rows, target):
     """Whether the sparse row target lies in the rational span of basis_rows."""
     return rank([*basis_rows, target]) == rank(basis_rows)
+
+
+def nullspace(rows, ncols):
+    """Basis of the right kernel of a matrix with integer columns 0..ncols-1.
+
+    One basis vector per free column, with a 1 in that column; vectors are
+    returned in ascending free-column order.
+    """
+    reduced, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for col, ridx in pivots.items():
+            val = reduced[ridx].get(free)
+            if val:
+                vec[col] = -val
+        basis.append(vec)
+    return basis
 
 
 # -- reference tangent functor: partial derivatives and products --------
@@ -290,3 +311,55 @@ def reference_exterior_derivative(omega):
         term = reference_coface(omega, i)
         total = total + (term if i % 2 else -term)
     return total
+
+
+# -- reference singular basis: the alternating equations and their kernel --
+#
+# The package builds the alternating forms in closed form, as the images
+# of the polynomial de Rham forms; this solves for the same space from a
+# sector basis: each adjacent swap must act as negation, the residuals
+# symmetry(w, i) + w become linear rows, and the nullspace is the basis.
+
+def reference_alternating_subbasis(basis):
+    if not basis:
+        return []
+    n = basis[0].n
+    if n < 2:
+        return list(basis)
+    rows = {}
+    for col, form in enumerate(basis):
+        for i in range(1, n):
+            residual = symmetry(form, i, validate=False) + form
+            for key, coeff in _body_vector(residual).items():
+                rows.setdefault((i,) + key, {})[col] = coeff
+    out = []
+    for vec in nullspace(list(rows.values()), len(basis)):
+        total = SectorForm.zero(n, basis[0].m, basis[0].k)
+        for col, coeff in sorted(vec.items()):
+            total = total + basis[col].scale(coeff)
+        out.append(total)
+    return out
+
+
+# -- polynomial de Rham forms: x^e dx_J keyed by (e, J), J ascending -------
+
+def derham_keys(n, m, d):
+    """The de Rham n-forms x^e dx_J, |e| <= d, in the order `singular_basis` documents:
+    base exponents ascending, then J in `itertools.combinations` order."""
+    return [(e, J) for e in product(range(d + 1), repeat=m) if sum(e) <= d
+            for J in combinations(range(m), n)]
+
+
+def reference_derham_derivative(e, J):
+    """d(x^e dx_J) = sum_i e_i x^(e - 1_i) dx_i ^ dx_J, as {(e', J'): coefficient}.
+
+    Moving dx_i past the dx_j with j < i to its sorted place in J u {i}
+    gives the sign (-1)^#{j in J: j < i}.
+    """
+    out = {}
+    for i, ei in enumerate(e):
+        if ei and i not in J:
+            lowered = e[:i] + (ei - 1,) + e[i + 1:]
+            sign = -1 if sum(j < i for j in J) % 2 else 1
+            out[(lowered, tuple(sorted(J + (i,))))] = sign * ei
+    return out

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -155,6 +156,26 @@ class TestApplyAndDerive:
         code, out, _ = run(capsys, "derive", "--form", form)
         assert code == 2
         assert out["error"] == "bad-format"
+
+    @pytest.mark.parametrize("n,m,fmap", [
+        (40, 1, FinMap(40, 40, (2, 1) + tuple(range(3, 41)))),
+        (1, 10 ** 12, FinMap(1, 2, (1,))),
+    ], ids=["degree-40", "dim-10^12"])
+    def test_zero_form_is_cheap(self, tmp_path, capsys, n, m, fmap):
+        # m << n flat indices would be terabytes of tables; a form with no
+        # terms must build none of them
+        size = m << n
+        body = {"dom": size, "cod": 1, "components": [{"vars": size, "terms": []}]}
+        form = write_json(tmp_path, "form.json", {"n": n, "m": m, "k": 1, "body": body})
+        path = write_json(tmp_path, "map.json", finmap_to_dict(fmap))
+        for argv, degree in ((("derive", "--form", form), n + 1),
+                             (("derive", "--form", form, "--position", "1"), n + 1),
+                             (("apply", "--form", form, "--map", path), fmap.cod)):
+            start = time.perf_counter()
+            code, payload, _ = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert code == 0, argv
+            assert payload == sectorform_to_dict(SectorForm.zero(degree, m)), argv
 
     def test_invalid_form_rejected(self, tmp_path, capsys):
         v = Poly.var(2, 1)

@@ -4,21 +4,30 @@ from math import comb
 
 import pytest
 
-from helpers import in_span, random_sector_form, reference_sector_basis, set_partitions
+from helpers import (
+    derham_keys,
+    in_span,
+    nullspace,
+    random_sector_form,
+    reference_alternating_subbasis,
+    reference_derham_derivative,
+    reference_sector_basis,
+    set_partitions,
+)
 from sectorforms import cohomology
 from sectorforms.cohomology import (
     ComplexReport,
     SizeError,
-    alternating_subbasis,
     complex_report,
     sector_basis,
     sector_candidates,
     singular_basis,
 )
-from sectorforms.linalg import nullspace, rank, rref
+from sectorforms.linalg import rank, rref
 from sectorforms.cohomology import _body_vector
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import (
+    SectorForm,
     exterior_derivative,
     is_alternating,
     is_sector_form,
@@ -138,8 +147,67 @@ class TestSingularBasis:
         for form in singular_basis(1, 2, 2):
             assert is_alternating(exterior_derivative(form, validate=False))
 
-    def test_alternating_subbasis_of_empty(self):
-        assert alternating_subbasis([]) == []
+    # (4, 3, 1) and (4, 3, 2) are left out: their nullspace takes 2 and 10 s
+    # and is empty, as at every n > m
+    @pytest.mark.parametrize("n,m,d", [(n, m, d) for n in range(5) for m in range(1, 4)
+                                       for d in range(3) if (n, m) != (4, 3) or d == 0])
+    def test_matches_reference(self, n, m, d):
+        basis = singular_basis(n, m, d)
+        ref = reference_alternating_subbasis(sector_basis(n, m, d))
+        rows = [_body_vector(b) for b in basis]
+        ref_rows = [_body_vector(b) for b in ref]
+        assert len(basis) == comb(m + d, m) * comb(m, n)
+        assert rank(rows) == len(rows) == len(ref) == rank(rows + ref_rows)
+        for form in basis:
+            assert is_sector_form(form) and is_alternating(form)
+
+    def test_resource_guard(self):
+        # C(4, 3) * C(3, 3) * 3! = 24 monomials in 4 forms
+        assert len(singular_basis(3, 3, 1, max_candidates=24)) == 4
+        with pytest.raises(SizeError):
+            singular_basis(3, 3, 1, max_candidates=23)
+
+    def test_guard_counts_before_building(self, monkeypatch):
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError("built past the guard")
+
+        def refuse(*args):
+            raise AssertionError("built past the guard")
+
+        monkeypatch.setattr(cohomology, "Poly", Refuse())
+        monkeypatch.setattr(cohomology, "_base_exponents", refuse)
+        with pytest.raises(SizeError):
+            singular_basis(6, 8, 8)
+
+
+class TestDeRhamIsomorphism:
+    """Phi, the documented order of `singular_basis`, is a cochain map:
+    the sector derivative of Phi(x^e dx_J) is Phi of its de Rham derivative."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for m in range(1, 4) for n in range(m + 1)])
+    def test_phi_commutes_with_d(self, n, m):
+        d = 2
+        keys, forms = derham_keys(n, m, d), singular_basis(n, m, d)
+        assert len(keys) == len(forms) == comb(m + d, m) * comb(m, n)
+        target = dict(zip(derham_keys(n + 1, m, d), singular_basis(n + 1, m, d)))
+        for (e, J), form in zip(keys, forms):
+            expected = SectorForm.zero(n + 1, m)
+            for key, c in reference_derham_derivative(e, J).items():
+                expected = expected + target[key].scale(c)
+            assert exterior_derivative(form) == expected, (e, J)
+            if n == m:
+                assert expected.is_zero
+
+    def test_derham_derivative_squares_to_zero(self):
+        for m in range(1, 4):
+            for n in range(m):
+                for e, J in derham_keys(n, m, 3):
+                    total = {}
+                    for (e1, J1), c1 in reference_derham_derivative(e, J).items():
+                        for key, c2 in reference_derham_derivative(e1, J1).items():
+                            total[key] = total.get(key, 0) + c1 * c2
+                    assert not any(total.values()), (e, J)
 
 
 class TestComplexReport:
