@@ -12,8 +12,6 @@ from .fincard import (
     GenWord,
     Generator,
     RelationReport,
-    all_maps,
-    all_surjections,
     check_relations,
     classify,
     eval_word,
@@ -24,7 +22,6 @@ from .fincard import (
     monoidal_sum,
     probe_surjection,
     sigma_cycle,
-    sigma_cycle_word,
 )
 from .fincard import compose as compose_finmap
 from .poly import Poly, PolyMap, coordinate_map, identity_map, zero_map
@@ -40,7 +37,6 @@ from .tangent import (
     origin_lift,
     principal_projection,
     realize_surjection,
-    realize_word,
     tangent_of_map,
     verify_tangent_axioms,
     vertical_lift,

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
 guard.  The JSON report goes to --out when given and to stdout
 otherwise; a one-line human summary always goes to stderr.  Identical
 requests produce byte-identical JSON.  No domain logic lives here.
+An --out path that cannot be written is an input error, told on stdout.
 """
 
 from __future__ import annotations
@@ -35,14 +36,22 @@ class CommandError(Exception):
         self.status = status
 
 
-def _emit(payload: dict, out_path: str | None, summary: str) -> None:
+def _emit(payload: dict, out_path: str | None, summary: str, status: int) -> int:
+    """Write the report and its summary; returns status, or the input-error
+    status after reporting on stdout that out_path cannot be written."""
     text = jsonio.dumps(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            detail = f"cannot write {out_path}: {err}"
+            return _emit({"error": "bad-output", "detail": detail}, None, f"error: {detail}",
+                         EXIT_INPUT)
     else:
         sys.stdout.write(text)
     print(summary, file=sys.stderr)
+    return status
 
 
 def _guard(value: int, cap: int, what: str) -> None:
@@ -71,9 +80,9 @@ def _cmd_verify_relations(args) -> int:
         "total_failures": total,
     }
     checked = sum(r.checked for r in reports)
-    _emit(payload, args.out,
-          f"{len(reports)} families, {checked} instances, {total} failures")
-    return EXIT_OK if total == 0 else EXIT_VERIFICATION
+    return _emit(payload, args.out,
+                 f"{len(reports)} families, {checked} instances, {total} failures",
+                 EXIT_OK if total == 0 else EXIT_VERIFICATION)
 
 
 def _cmd_verify_axioms(args) -> int:
@@ -82,9 +91,9 @@ def _cmd_verify_axioms(args) -> int:
     rep = verify_tangent_axioms(args.dim, args.depth)
     payload = jsonio.relation_report_to_dict(rep)
     payload["dim"] = args.dim
-    _emit(payload, args.out,
-          f"{rep.checked} axiom instances at dim {args.dim}, {len(rep.failures)} failures")
-    return EXIT_OK if rep.ok else EXIT_VERIFICATION
+    return _emit(payload, args.out,
+                 f"{rep.checked} axiom instances at dim {args.dim}, {len(rep.failures)} failures",
+                 EXIT_OK if rep.ok else EXIT_VERIFICATION)
 
 
 def _cmd_factor(args) -> int:
@@ -95,9 +104,8 @@ def _cmd_factor(args) -> int:
         word = factor_surjection(fmap)
     else:
         word = factor_map(fmap)
-    _emit(jsonio.genword_to_dict(word), args.out,
-          f"factored {fmap.dom}->{fmap.cod} map into {len(word)} generators")
-    return EXIT_OK
+    return _emit(jsonio.genword_to_dict(word), args.out,
+                 f"factored {fmap.dom}->{fmap.cod} map into {len(word)} generators", EXIT_OK)
 
 
 def _cmd_apply(args) -> int:
@@ -107,9 +115,8 @@ def _cmd_apply(args) -> int:
         raise CommandError("dimension-mismatch",
                            f"map leaves cardinal {fmap.dom}, form has degree {form.n}")
     result = apply_cardinal_map(form, fmap, validate=False)
-    _emit(jsonio.sectorform_to_dict(result), args.out,
-          f"degree {form.n} -> {result.n} along {list(fmap.table)}")
-    return EXIT_OK
+    return _emit(jsonio.sectorform_to_dict(result), args.out,
+                 f"degree {form.n} -> {result.n} along {list(fmap.table)}", EXIT_OK)
 
 
 def _cmd_derive(args) -> int:
@@ -123,10 +130,9 @@ def _cmd_derive(args) -> int:
     else:
         result = exterior_derivative(form, validate=False)
         what = "exterior derivative"
-    _emit(jsonio.sectorform_to_dict(result), args.out,
-          f"{what}: degree {form.n} -> {result.n}"
-          + (", zero form" if result.is_zero else ""))
-    return EXIT_OK
+    return _emit(jsonio.sectorform_to_dict(result), args.out,
+                 f"{what}: degree {form.n} -> {result.n}"
+                 + (", zero form" if result.is_zero else ""), EXIT_OK)
 
 
 def _cmd_derham(args) -> int:
@@ -138,10 +144,10 @@ def _cmd_derham(args) -> int:
     except SizeError as err:
         raise CommandError("resource-guard", str(err), EXIT_GUARD) from None
     payload = jsonio.complex_report_to_dict(rep)
-    _emit(payload, args.out,
-          f"H = {list(rep.cohomology)}, singular H = {list(rep.singular_cohomology)}, "
-          f"boundary squared zero: {rep.complex_verified}")
-    return EXIT_OK if rep.complex_verified and rep.consistent() else EXIT_VERIFICATION
+    return _emit(payload, args.out,
+                 f"H = {list(rep.cohomology)}, singular H = {list(rep.singular_cohomology)}, "
+                 f"boundary squared zero: {rep.complex_verified}",
+                 EXIT_OK if rep.complex_verified and rep.consistent() else EXIT_VERIFICATION)
 
 
 def _cmd_sector_basis(args) -> int:
@@ -157,9 +163,9 @@ def _cmd_sector_basis(args) -> int:
         "dimension": len(basis),
         "basis": [jsonio.sectorform_to_dict(b) for b in basis],
     }
-    _emit(payload, args.out,
-          f"sector {args.n}-forms on R^{args.dim} at degree {args.deg}: dimension {len(basis)}")
-    return EXIT_OK
+    return _emit(payload, args.out,
+                 f"sector {args.n}-forms on R^{args.dim} at degree {args.deg}: "
+                 f"dimension {len(basis)}", EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,17 +242,14 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CommandError as err:
-        _emit({"error": err.code, "detail": err.detail}, out, f"error: {err.detail}")
-        return err.status
+        code, detail, status = err.code, err.detail, err.status
     except JsonSyntaxError as err:
-        _emit({"error": "bad-json", "detail": str(err)}, out, f"error: {err}")
-        return EXIT_INPUT
+        code, detail, status = "bad-json", str(err), EXIT_INPUT
     except InputFormatError as err:
-        _emit({"error": "bad-format", "detail": str(err)}, out, f"error: {err}")
-        return EXIT_INPUT
+        code, detail, status = "bad-format", str(err), EXIT_INPUT
     except ValueError as err:
-        _emit({"error": "dimension-mismatch", "detail": str(err)}, out, f"error: {err}")
-        return EXIT_INPUT
+        code, detail, status = "dimension-mismatch", str(err), EXIT_INPUT
+    return _emit({"error": code, "detail": detail}, out, f"error: {detail}", status)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 EPSILON = "epsilon"
@@ -188,13 +187,6 @@ def sigma_cycle(n: int, i: int) -> FinMap:
     return FinMap(n, n, tuple(table))
 
 
-def sigma_cycle_word(n: int, i: int) -> GenWord:
-    """The word sigma_1; ...; sigma_{i-1} at level n realizing `sigma_cycle`."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return GenWord(n, n, tuple(Generator(SIGMA, n, j) for j in range(1, i)))
-
-
 def probe_surjection(n: int, j: int) -> FinMap:
     """The surjection n+1 -> n sending 1 to j and x to x-1 otherwise.
 
@@ -276,6 +268,16 @@ def _coface_word(n: int, i: int) -> list[Generator]:
     return word
 
 
+def split_map(f: FinMap) -> tuple[FinMap, list[int]]:
+    """Split f as a surjection onto its image followed by the monotone
+    injection enumerating the image; returns the surjection and the
+    missing values in ascending order."""
+    image = sorted(set(f.table))
+    pos = {v: p for p, v in enumerate(image, start=1)}
+    surj = FinMap(f.dom, len(image), tuple(pos[v] for v in f.table))
+    return surj, [v for v in range(1, f.cod + 1) if v not in pos]
+
+
 def factor_map(f: FinMap) -> GenWord:
     """Factor an arbitrary map through epsilon, sigma, and delta-at-index-1.
 
@@ -283,12 +285,8 @@ def factor_map(f: FinMap) -> GenWord:
     injection enumerating the image, then rewrites every coface through
     the fundamental one.
     """
-    image = sorted(set(f.table))
-    r = len(image)
-    pos = {v: p for p, v in enumerate(image, start=1)}
-    surj = FinMap(f.dom, r, tuple(pos[v] for v in f.table))
+    surj, missing = split_map(f)
     word = list(factor_surjection(surj).gens)
-    missing = [v for v in range(1, f.cod + 1) if v not in pos]
     # Insert missing values top-down: the k-th smallest missing value m_k is
     # inserted at level cod-k with its index shifted by the k-1 smaller ones.
     q = len(missing)
@@ -296,23 +294,6 @@ def factor_map(f: FinMap) -> GenWord:
         level = f.cod - k
         word.extend(_coface_word(level, missing[k - 1] - (k - 1)))
     return GenWord(f.dom, f.cod, tuple(word))
-
-
-def all_maps(dom: int, cod: int) -> Iterator[FinMap]:
-    """All maps dom -> cod (none unless dom == 0 when cod == 0)."""
-    if dom == 0:
-        yield FinMap(0, cod, ())
-        return
-    if cod == 0:
-        return
-    for table in product(range(1, cod + 1), repeat=dom):
-        yield FinMap(dom, cod, table)
-
-
-def all_surjections(dom: int, cod: int) -> Iterator[FinMap]:
-    for f in all_maps(dom, cod):
-        if len(set(f.table)) == cod:
-            yield f
 
 
 @dataclass(frozen=True)

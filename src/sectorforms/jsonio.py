@@ -179,3 +179,5 @@ def load_json_file(path: str) -> dict:
         raise InputFormatError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise JsonSyntaxError(f"malformed JSON in {path}: {err}") from None
+    except RecursionError:
+        raise JsonSyntaxError(f"JSON in {path} is nested too deeply") from None

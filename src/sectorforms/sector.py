@@ -15,7 +15,8 @@ The operators:
 * ``codegeneracy(_, i)``      precompose with the lift whisker;
 * ``symmetry(_, i)``          precompose with the swap whisker;
 * ``apply_cardinal_map``      the action of an arbitrary map of finite
-  cardinals, through its factorization into generators;
+  cardinals: one reindexing by its surjection onto the image, then a
+  coface at each missing value;
 * ``exterior_derivative``     the signed sum of cofaces, which squares
   to zero;
 * ``pullback``                precompose with an iterated tangent of a
@@ -36,9 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincard import DELTA, EPSILON, FinMap, factor_map
+from .fincard import EPSILON, SIGMA, FinMap, Generator, generator_map, split_map
 from .poly import Poly, PolyMap, compose, zero_map
-from .tangent import _cycle_sources, _flat_sources, _lift_sources, _swap_sources, iterate_tangent
+from .tangent import _cycle_sources, _flat_sources, _surjection_sources, iterate_tangent
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,19 @@ def _require_sector(omega: SectorForm):
         raise ValueError(f"not a sector form: linearity fails at positions {list(bad)}")
 
 
-def _reindex(omega: SectorForm, n: int, table, i: int) -> SectorForm:
-    """Precompose the body with the degree-n whisker of the table(n, i) source masks.
+def _reindex(omega: SectorForm, u: FinMap) -> SectorForm:
+    """Precompose the body with the action of the surjection u, degree u.dom to u.cod.
 
     The exponent at flat index mask*m + j moves to sources[mask]*m + j; a
     term with a positive exponent where sources[mask] is None is 0.  The
     tables are injective where defined, so distinct terms stay distinct.
     The table is built only when some term's exponent bounds its size.
     """
+    n = u.cod
     if omega.is_zero:
         return SectorForm.zero(n, omega.m, omega.k)
     m, size = omega.m, omega.m << n
-    where = _flat_sources(m, table(n, i))
+    where = _flat_sources(m, _surjection_sources(u))
     components = []
     for comp in omega.body.components:
         terms = {}
@@ -220,7 +222,7 @@ def codegeneracy(omega: SectorForm, i: int, validate: bool = True) -> SectorForm
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
     if validate:
         _require_sector(omega)
-    return _reindex(omega, omega.n - 1, _lift_sources, i)
+    return _reindex(omega, generator_map(Generator(EPSILON, omega.n - 1, i)))
 
 
 def symmetry(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
@@ -229,28 +231,24 @@ def symmetry(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
     if validate:
         _require_sector(omega)
-    return _reindex(omega, omega.n, _swap_sources, i)
+    return _reindex(omega, generator_map(Generator(SIGMA, omega.n, i)))
 
 
 def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> SectorForm:
     """Act by an arbitrary map of finite cardinals f: n -> n'.
 
-    Factor f through codegeneracies, swaps, and fundamental cofaces, and
-    apply the matching operators in order.  The result does not depend
-    on the factorization.
+    f is a surjection onto its image followed by the monotone injection
+    missing v_1 < ... < v_q (`split_map`): one reindexing pass by the
+    surjection, then the coface at each v_k in ascending order.
     """
     if f.dom != omega.n:
         raise ValueError(f"map leaves cardinal {f.dom}, form has degree {omega.n}")
     if validate:
         _require_sector(omega)
-    out = omega
-    for g in factor_map(f).gens:
-        if g.kind == EPSILON:
-            out = codegeneracy(out, g.i, validate=False)
-        elif g.kind == DELTA:
-            out = fundamental_derivative(out, validate=False)
-        else:
-            out = symmetry(out, g.i, validate=False)
+    surjection, missing = split_map(f)
+    out = _reindex(omega, surjection)
+    for v in missing:
+        out = _cofaces(out, {v: 1})
     return out
 
 

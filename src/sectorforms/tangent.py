@@ -12,7 +12,8 @@ projection, zero section, fibre addition) are realized as polynomial
 maps, whiskered to any level, and every tangent-category axiom is
 machine-checked as an exact identity of polynomial maps by
 `verify_tangent_axioms`.  Surjections of finite cardinals act on
-iterated tangent spaces contravariantly through `realize_surjection`.
+iterated tangent spaces contravariantly, by preimages of level sets
+(`realize_surjection`); the whiskers are the actions of the generators.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .fincard import (
     EPSILON,
     SIGMA,
     FinMap,
-    GenWord,
     Generator,
     RelationReport,
     classify,
-    factor_surjection,
+    generator_map,
 )
 from .poly import (
     Poly,
@@ -183,24 +183,32 @@ def _mask_map(m: int, depth: int, sources: Iterable[int | None]) -> PolyMap:
     return coordinate_map(m << depth, _flat_sources(m, sources))
 
 
-def _lift_sources(n: int, i: int) -> list[int | None]:
-    p = n - i
-    low = (1 << p) - 1
-    out = []
-    for mask in range(1 << (n + 1)):
-        bit = mask >> p & 1
-        out.append(None if bit != mask >> (p + 1) & 1
-                   else mask & low | bit << p | mask >> (p + 2) << (p + 1))
+def _surjection_sources(u: FinMap) -> list[int | None]:
+    """The source-mask table of a surjection u: a -> b, acting T^b R^m -> T^a R^m.
+
+    Element x of a cardinal c is mask bit c - x.  Output block S (a bits)
+    reads input block S' (b bits) when S = u^-1(S'), and is 0 when S is
+    no preimage.
+    """
+    a, b = u.dom, u.cod
+    fibres = [0] * b  # fibres[k]: the mask of u^-1(b - k), for input bit k
+    for x, y in enumerate(u.table, start=1):
+        fibres[b - y] |= 1 << (a - x)
+    preimages = [0]  # after k fibres: preimages[S'] for every S' below 2^k
+    for fibre in fibres:
+        preimages += [s | fibre for s in preimages]
+    out: list[int | None] = [None] * (1 << a)
+    for src, s in enumerate(preimages):
+        out[s] = src
     return out
 
 
-def _swap_sources(n: int, i: int) -> list[int]:
-    a = n - i - 1
-    return [mask ^ ((mask >> a ^ mask >> (a + 1)) & 1) * (3 << a) for mask in range(1 << n)]
-
-
 def _cycle_sources(n: int, i: int) -> list[int]:
-    """The descending cycle of levels at i: mask bits n-i .. n-1 rotated left by one."""
+    """The descending cycle of levels at i: mask bits n-i .. n-1 rotated left by one.
+
+    Equals `_surjection_sources(sigma_cycle(n, i))`; the rotation is cheaper
+    to build, and the cofaces build it at every position of every derivative.
+    """
     shift, field = n - i, (1 << i) - 1
     out = []
     for mask in range(1 << n):
@@ -217,9 +225,7 @@ def lift_whisker(m: int, n: int, i: int) -> PolyMap:
     the outermost level.  Mask bits n-i and n-i+1 of the output must
     agree, and fold into one bit of the input; otherwise the output is 0.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return _mask_map(m, n, _lift_sources(n, i))
+    return _mask_map(m, n, _surjection_sources(generator_map(Generator(EPSILON, n, i))))
 
 
 def flip_whisker(m: int, n: int, i: int) -> PolyMap:
@@ -228,39 +234,20 @@ def flip_whisker(m: int, n: int, i: int) -> PolyMap:
     Swaps tangent levels n-i and n-i+1, mask bits n-i-1 and n-i; index 1
     swaps the outermost two.
     """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"need 1 <= i <= n-1, got i={i}, n={n}")
-    return _mask_map(m, n, _swap_sources(n, i))
+    return _mask_map(m, n, _surjection_sources(generator_map(Generator(SIGMA, n, i))))
 
 
 # -- realizing finite-cardinal surjections ------------------------------
 
-def realize_generator(g: Generator, m: int) -> PolyMap:
-    """Epsilon acts by the lift whisker, sigma by the swap whisker."""
-    if g.kind == EPSILON:
-        return lift_whisker(m, g.n, g.i)
-    if g.kind == SIGMA:
-        return flip_whisker(m, g.n, g.i)
-    raise ValueError("coface generators do not act on iterated tangent spaces")
-
-
-def realize_word(w: GenWord, m: int) -> PolyMap:
-    """Contravariant realization of a word: T^cod R^m -> T^dom R^m."""
-    out = identity_map(m << w.cod)
-    for g in reversed(w.gens):
-        out = compose(out, realize_generator(g, m))
-    return out
-
-
 def realize_surjection(u: FinMap, m: int) -> PolyMap:
     """The action of a surjection u: a -> b on tangent iterates, T^b -> T^a.
 
-    Independent of the factorization of u; the packaged one is the
-    deterministic `factor_surjection`.
+    Output block S reads input block S' when S = u^-1(S'), in one table
+    built from the fibres of u; no factorization into generators.
     """
     if not classify(u).surjective:
         raise ValueError(f"{u!r} is not surjective")
-    return realize_word(factor_surjection(u), m)
+    return _mask_map(m, u.cod, _surjection_sources(u))
 
 
 # -- fibre products and pairings ---------------------------------------

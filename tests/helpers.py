@@ -80,6 +80,30 @@ def random_sector_form(rng, n, m, d, nterms=3):
     return form
 
 
+def all_maps(dom, cod):
+    """All maps dom -> cod (none unless dom == 0 when cod == 0)."""
+    if dom == 0:
+        yield FinMap(0, cod, ())
+        return
+    if cod == 0:
+        return
+    for table in product(range(1, cod + 1), repeat=dom):
+        yield FinMap(dom, cod, table)
+
+
+def all_surjections(dom, cod):
+    for f in all_maps(dom, cod):
+        if len(set(f.table)) == cod:
+            yield f
+
+
+def sigma_cycle_word(n, i):
+    """The word sigma_1; ...; sigma_{i-1} at level n realizing `sigma_cycle`."""
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    return GenWord(n, n, tuple(Generator(SIGMA, n, j) for j in range(1, i)))
+
+
 def random_finmap(rng, dom, cod):
     return FinMap(dom, cod, tuple(rng.randint(1, cod) for _ in range(dom)))
 
@@ -205,6 +229,22 @@ def reference_flip_cycle(m, n, i):
     out = identity_map(m << n)
     for j in range(i - 1, 0, -1):
         out = compose(out, reference_flip_whisker(m, n, j))
+    return out
+
+
+def reference_realize_word(w, m):
+    """Contravariant realization of an epsilon/sigma word, T^cod R^m -> T^dom R^m.
+
+    Composes the reference whisker of each generator, last generator first.
+    """
+    out = identity_map(m << w.cod)
+    for g in reversed(w.gens):
+        if g.kind == EPSILON:
+            out = compose(out, reference_lift_whisker(m, g.n, g.i))
+        elif g.kind == SIGMA:
+            out = compose(out, reference_flip_whisker(m, g.n, g.i))
+        else:
+            raise ValueError("coface generators do not act on iterated tangent spaces")
     return out
 
 

@@ -11,6 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from helpers import (
+    all_maps,
+    all_surjections,
     apply_generator_word,
     random_finmap,
     random_sector_form,
@@ -19,8 +21,6 @@ from helpers import (
 from sectorforms.cohomology import complex_report, sector_basis
 from sectorforms.fincard import (
     FinMap,
-    all_maps,
-    all_surjections,
     check_relations,
     compose as fc_compose,
     eval_word,

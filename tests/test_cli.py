@@ -5,6 +5,7 @@ import time
 import pytest
 
 from helpers import random_sector_form
+from sectorforms import cli
 from sectorforms.cli import main
 from sectorforms.fincard import FinMap
 from sectorforms.jsonio import dumps, finmap_to_dict, sectorform_to_dict
@@ -88,6 +89,35 @@ class TestFactor:
         code, payload, _ = run(capsys, "factor", "--in", str(path))
         assert code == 2
         assert payload["error"] == "bad-format"
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "id.json", finmap_to_dict(FinMap(1, 1, (1,))))
+        target = tmp_path / "missing" / "x.json"
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code, payload, err = run(capsys, "factor", "--in", path, "--out", str(target))
+        assert code == 2
+        assert payload["error"] == "bad-output" and str(target) in payload["detail"]
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert opened.count(str(target)) == 1 and not target.exists()
+
+
+@pytest.mark.parametrize("command", ("factor", "derive", "apply"))
+def test_deeply_nested_json_is_bad_json(tmp_path, capsys, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 1500 + "]" * 1500)
+    form = write_json(tmp_path, "form.json", sectorform_to_dict(line_one_form(Poly.var(1, 0))))
+    argv = {"factor": ["factor", "--in", str(nested)],
+            "derive": ["derive", "--form", str(nested)],
+            "apply": ["apply", "--form", form, "--map", str(nested)]}[command]
+    code, payload, _ = run(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == "bad-json"
 
 
 class TestApplyAndDerive:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import all_maps, all_surjections, sigma_cycle_word
 from sectorforms.fincard import (
     DELTA,
     EPSILON,
@@ -13,8 +14,6 @@ from sectorforms.fincard import (
     FinMap,
     GenWord,
     Generator,
-    all_maps,
-    all_surjections,
     check_relations,
     classify,
     compose,
@@ -26,7 +25,6 @@ from sectorforms.fincard import (
     monoidal_sum,
     probe_surjection,
     sigma_cycle,
-    sigma_cycle_word,
 )
 
 

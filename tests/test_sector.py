@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from helpers import (
+    all_maps,
     random_finmap,
     random_sector_form,
     random_surjection,
@@ -16,7 +17,7 @@ from helpers import (
     reference_multilinearity_failures,
     reference_symmetry,
 )
-from sectorforms import poly, sector, tangent
+from sectorforms import fincard, poly, sector, tangent
 from sectorforms.cohomology import sector_basis
 from sectorforms.fincard import (
     DELTA,
@@ -26,6 +27,7 @@ from sectorforms.fincard import (
     compose as fc_compose,
     factor_map,
     identity,
+    sigma_cycle,
     _relation_instances,
 )
 from sectorforms.poly import Poly, PolyMap, compose
@@ -45,7 +47,7 @@ from sectorforms.sector import (
     pullback,
     symmetry,
 )
-from sectorforms.tangent import TangentCoords
+from sectorforms.tangent import TangentCoords, realize_surjection
 
 F = Fraction
 X = Poly.var(1, 0)
@@ -297,6 +299,22 @@ class TestApplyCardinalMap:
             out = apply_cardinal_map(w, random_finmap(rng, a, b))
             assert out.n == b and is_sector_form(out)
 
+    def test_matches_composed_generators(self):
+        # every map n <= 3 -> cod <= 4, against the composed whiskers and
+        # derivatives along its generator word
+        for w in random_vector_forms(14):
+            for cod in range(5):
+                for f in all_maps(w.n, cod):
+                    expect = w
+                    for g in factor_map(f).gens:
+                        if g.kind == EPSILON:
+                            expect = reference_codegeneracy(expect, g.i)
+                        elif g.kind == SIGMA:
+                            expect = reference_symmetry(expect, g.i)
+                        else:
+                            expect = reference_coface(expect, g.i)
+                    assert apply_cardinal_map(w, f, validate=False) == expect, f
+
 
 class TestExteriorDerivative:
     def test_zero_form(self):
@@ -445,6 +463,24 @@ class TestComposeReference:
         assert apply_cardinal_map(w, f).n == 4
         assert exterior_derivative(w).n == 4
         assert not is_alternating(w)
+
+    def test_cardinal_maps_act_without_factoring(self, monkeypatch):
+        # surjections act through their preimage tables, maps through one
+        # surjection pass and cofaces: no generator word, no composite
+        w = random_sector_form(random.Random(26), 3, 2, 1)
+        f = FinMap(3, 4, (3, 1, 1))
+        expect = apply_cardinal_map(w, f)
+        u = sigma_cycle(3, 3)
+        realized = realize_surjection(u, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cardinal map was factored or composed")
+
+        for module in (fincard, poly, tangent, sector):
+            for name in ("factor_map", "factor_surjection", "compose"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert apply_cardinal_map(w, f) == expect
+        assert realize_surjection(u, 2) == realized
 
 
 class TestAlternating:

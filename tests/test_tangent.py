@@ -10,9 +10,11 @@ from sectorforms.fincard import (
     Generator,
     compose as fc_compose,
     eval_word,
+    factor_surjection,
     generator_map,
     identity,
     probe_surjection,
+    sigma_cycle,
 )
 from sectorforms.poly import Poly, PolyMap, compose, coordinate_map, identity_map, zero_map
 from sectorforms.tangent import (
@@ -26,7 +28,6 @@ from sectorforms.tangent import (
     origin_lift,
     principal_projection,
     realize_surjection,
-    realize_word,
     tangent_fibre_map,
     tangent_of_map,
     verify_tangent_axioms,
@@ -51,12 +52,14 @@ def random_polymap(rng, a, b, deg=2, nterms=3):
 
 
 from helpers import (
+    all_surjections,
     random_surjection,
     randomized_factorization,
     reference_flip_cycle,
     reference_flip_whisker,
     reference_lift_whisker,
     reference_multilinearity_probe,
+    reference_realize_word,
     reference_tangent_of_map,
 )
 
@@ -237,11 +240,15 @@ class TestWhiskers:
             assert tangent._cycle_sources(n, 1) == list(range(1 << n))
 
     def test_flip_cycle_realizes_cycle_permutation(self):
-        # against the contravariant realization of the sigma-cycle word
-        from sectorforms.fincard import sigma_cycle_word
+        # the action of the cycle permutation is the composed flip cycle
         for n in (2, 3):
             for i in range(1, n + 1):
-                assert realize_word(sigma_cycle_word(n, i), 1) == reference_flip_cycle(1, n, i)
+                assert realize_surjection(sigma_cycle(n, i), 1) == reference_flip_cycle(1, n, i)
+
+    def test_cycle_table_is_the_preimage_rule(self):
+        for n in range(1, 8):
+            for i in range(1, n + 1):
+                assert tangent._cycle_sources(n, i) == tangent._surjection_sources(sigma_cycle(n, i))
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_tables_match_tangent_functor_reference(self, m):
@@ -288,7 +295,16 @@ class TestRealization:
             alt = randomized_factorization(rng, u)
             assert eval_word(alt) == u
             m = 2 if dom <= 4 else 1
-            assert realize_word(alt, m) == realize_surjection(u, m)
+            assert reference_realize_word(alt, m) == realize_surjection(u, m)
+
+    def test_every_small_surjection_matches_composed_whiskers(self):
+        # the preimage table against the generator word, whisker by whisker
+        for dom in range(6):
+            for cod in range(dom + 1):
+                for u in all_surjections(dom, cod):
+                    word = factor_surjection(u)
+                    for m in ((1, 2) if dom <= 4 else (1,)):
+                        assert realize_surjection(u, m) == reference_realize_word(word, m), (u, m)
 
     def test_contravariant_functoriality(self):
         rng = random.Random(43)
