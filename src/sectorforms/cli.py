@@ -6,11 +6,18 @@ guard.  The JSON report goes to --out when given and to stdout
 otherwise; a one-line human summary always goes to stderr.  Identical
 requests produce byte-identical JSON.  No domain logic lives here.
 An --out path that cannot be written is an input error, told on stdout.
+A numeric argument below its range is the input error "bad-argument",
+found before any work; an error inside the library is not an input
+error and propagates as itself.
+
+The argument parser is built once per process and reused by every
+`main` call, since argparse keeps no state between `parse_args` calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import jsonio
@@ -52,6 +59,20 @@ def _emit(payload: dict, out_path: str | None, summary: str, status: int) -> int
         sys.stdout.write(text)
     print(summary, file=sys.stderr)
     return status
+
+
+# the least legal value of each numeric argument, by its dest name
+_FLOORS = {"max_n": 2, "dim": 1, "depth": 1, "deg": 0, "levels": 0, "n": 0,
+           "cap_n": 0, "cap_dim": 0, "cap_depth": 0, "cap_deg": 0, "cap_levels": 0,
+           "max_candidates": 0}
+
+
+def _check_ranges(args) -> None:
+    for name, floor in _FLOORS.items():
+        value = getattr(args, name, floor)
+        if value < floor:
+            flag = "--" + name.replace("_", "-")
+            raise CommandError("bad-argument", f"{flag} must be at least {floor}, got {value}")
 
 
 def _guard(value: int, cap: int, what: str) -> None:
@@ -168,6 +189,7 @@ def _cmd_sector_basis(args) -> int:
                  f"dimension {len(basis)}", EXIT_OK)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectorforms",
@@ -236,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:
+        _check_ranges(args)
         return args.fn(args)
     except CommandError as err:
         code, detail, status = err.code, err.detail, err.status
@@ -247,8 +269,6 @@ def main(argv=None) -> int:
         code, detail, status = "bad-json", str(err), EXIT_INPUT
     except InputFormatError as err:
         code, detail, status = "bad-format", str(err), EXIT_INPUT
-    except ValueError as err:
-        code, detail, status = "dimension-mismatch", str(err), EXIT_INPUT
     return _emit({"error": code, "detail": detail}, out, f"error: {detail}", status)
 
 

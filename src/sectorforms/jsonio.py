@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cohomology import ComplexReport
 from .fincard import FinMap, GenWord, Generator, RelationReport
@@ -34,8 +35,34 @@ class JsonSyntaxError(InputFormatError):
 
 def dumps(payload: dict) -> str:
     """Canonical rendering: fixed field order, two-space indent, one trailing
-    newline, so identical requests give byte-identical reports."""
-    return json.dumps(payload, indent=2) + "\n"
+    newline, so identical requests give byte-identical reports.
+
+    The bytes are those of ``json.dumps(payload, indent=2) + "\n"``; they
+    are written directly, since `json` renders an indented document with
+    its pure-Python encoder.
+    """
+    return _render(payload, "\n") + "\n"
+
+
+def _render(value, nl: str) -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it, each line break
+    written as nl (a newline and the current indentation)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = nl + "  "
+    if kind is list and value:
+        if set(map(type, value)) == {int}:  # exponent tuples: one join in C
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + nl + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in value.items()]
+        ) + nl + "}"
+    # bool, None, floats, tuples, empty containers, other keys, subclasses
+    return json.dumps(value, indent=2).replace("\n", nl)
 
 
 def _expect(payload, key, kind):

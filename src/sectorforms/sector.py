@@ -36,6 +36,7 @@ singular forms; they are closed under the exterior derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .fincard import EPSILON, SIGMA, FinMap, Generator, generator_map, split_map
 from .poly import Poly, PolyMap, compose, zero_map
@@ -154,6 +155,14 @@ def _reindex(omega: SectorForm, u: FinMap) -> SectorForm:
     return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
 
 
+@cache
+def _coface_table(m: int, n: int, i: int) -> tuple[int, ...]:
+    """The flip-cycle table of `_cofaces` at i into degree n on R^m, over
+    flat indices; kept, since a report asks for a handful of (m, n, i)
+    many times over."""
+    return tuple(_flat_sources(m, _cycle_sources(n, i)))
+
+
 def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     """The sum of signs[i] * coface(omega, i), signs +-1, on exponent tuples.
 
@@ -167,7 +176,7 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
         return SectorForm.zero(omega.n + 1, omega.m, omega.k)
     m, n = omega.m, omega.n + 1
     half, size = m << omega.n, m << n
-    moves = [(sign > 0, _flat_sources(m, _cycle_sources(n, i))) for i, sign in signs.items()]
+    moves = [(sign > 0, _coface_table(m, n, i)) for i, sign in signs.items()]
     components = []
     for comp in omega.body.components:
         terms = {}

@@ -1,5 +1,6 @@
 """Shared oracle-style generators for the test suite."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,11 @@ from sectorforms.tangent import (
     tangent_of_map,
     vertical_lift,
 )
+
+
+def reference_dumps(payload):
+    """The canonical report bytes as `json` writes them: the oracle of `jsonio.dumps`."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def set_partitions(elements):

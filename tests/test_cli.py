@@ -4,13 +4,13 @@ import time
 
 import pytest
 
-from helpers import random_sector_form
+from helpers import random_sector_form, reference_dumps
 from sectorforms import cli
-from sectorforms.cli import main
+from sectorforms.cli import build_parser, main
 from sectorforms.fincard import FinMap
 from sectorforms.jsonio import dumps, finmap_to_dict, sectorform_to_dict
 from sectorforms.poly import Poly, PolyMap
-from sectorforms.sector import SectorForm, line_one_form
+from sectorforms.sector import SectorForm, exterior_derivative, line_one_form
 
 
 def run(capsys, *argv):
@@ -273,3 +273,115 @@ class TestSectorBasisCommand:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,work", [
+    (("verify-relations", "--max-n", "1"), "check_relations"),
+    (("verify-relations", "--max-n", "3", "--cap-n", "-1"), "check_relations"),
+    (("verify-axioms", "--dim", "0"), "verify_tangent_axioms"),
+    (("verify-axioms", "--dim", "1", "--depth", "0"), "verify_tangent_axioms"),
+    (("verify-axioms", "--dim", "1", "--cap-depth", "-1"), "verify_tangent_axioms"),
+    (("derham", "--dim", "0", "--deg", "1", "--levels", "1"), "complex_report"),
+    (("derham", "--dim", "1", "--deg", "-1", "--levels", "1"), "complex_report"),
+    (("derham", "--dim", "1", "--deg", "1", "--levels", "-1"), "complex_report"),
+    (("derham", "--dim", "1", "--deg", "1", "--levels", "1", "--cap-deg", "-2"), "complex_report"),
+    (("sector-basis", "--n", "-1", "--dim", "1", "--deg", "0"), "sector_basis"),
+    (("sector-basis", "--n", "1", "--dim", "1", "--deg", "0", "--max-candidates", "-5"),
+     "sector_basis"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_out_of_range_argument_is_bad_argument(capsys, monkeypatch, argv, work):
+    def no_work(*args):
+        raise AssertionError(f"{work} ran on out-of-range arguments")
+
+    monkeypatch.setattr(cli, work, no_work)
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == "bad-argument"
+    assert err == f"error: {payload['detail']}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-relations", "--max-n", "2"),
+    ("verify-axioms", "--dim", "1", "--depth", "1"),
+    ("derham", "--dim", "1", "--deg", "0", "--levels", "0"),
+    ("sector-basis", "--n", "0", "--dim", "1", "--deg", "0"),
+], ids=["max-n-2", "depth-1", "levels-0", "n-0"])
+def test_least_legal_argument_is_answered(capsys, argv):
+    code, payload, _ = run(capsys, *argv)
+    assert code == 0 and "error" not in payload
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--in", "MAP"),
+    ("factor", "--in", "MAP", "--gens", "surj"),
+    ("apply", "--form", "FORM", "--map", "MAP"),
+    ("derive", "--form", "FORM"),
+    ("derive", "--form", "FORM", "--position", "2"),
+    ("derham", "--dim", "1", "--deg", "2", "--levels", "2"),
+    ("sector-basis", "--n", "2", "--dim", "2", "--deg", "1"),
+    ("verify-relations", "--max-n", "4"),
+    ("verify-axioms", "--dim", "1", "--depth", "2"),
+    ("derive", "--form", "FORM", "--position", "9"),
+], ids=["factor", "factor-surj", "apply", "derive", "derive-position", "derham",
+        "sector-basis", "verify-relations", "verify-axioms", "error"])
+def test_written_bytes_are_json_indent_2(tmp_path, capsys, monkeypatch, argv):
+    form = write_json(tmp_path, "form.json",
+                      sectorform_to_dict(random_sector_form(random.Random(7), 2, 2, 2)))
+    fmap = write_json(tmp_path, "map.json", finmap_to_dict(FinMap(2, 2, (2, 1))))
+    argv = [{"FORM": form, "MAP": fmap}.get(a, a) for a in argv]
+    written = []
+
+    def recording_dumps(payload):
+        written.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(cli.jsonio, "dumps", recording_dumps)
+    main(argv)
+    out = capsys.readouterr().out
+    assert len(written) == 1
+    assert out == reference_dumps(written[0])
+
+
+class TestReusedParser:
+    """One parser serves every `main` call of a process; no call may see
+    the options of the one before."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_position_does_not_stick(self, tmp_path, capsys):
+        w = random_sector_form(random.Random(8), 2, 1, 2)
+        form = write_json(tmp_path, "form.json", sectorform_to_dict(w))
+        code, coface_two, _ = run(capsys, "derive", "--form", form, "--position", "2")
+        assert code == 0
+        code, full, _ = run(capsys, "derive", "--form", form)
+        assert code == 0
+        assert full == sectorform_to_dict(exterior_derivative(w)) != coface_two
+
+    def test_out_does_not_stick(self, tmp_path, capsys):
+        out = tmp_path / "first.json"
+        argv = ["sector-basis", "--n", "1", "--dim", "1", "--deg", "0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        out.unlink()
+        code, payload, _ = run(capsys, *argv)
+        assert code == 0 and payload["dimension"] == 1
+        assert not out.exists()
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["derham", "--dim", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, payload, _ = run(capsys, "derham", "--dim", "1", "--deg", "1", "--levels", "1")
+        assert code == 0 and payload["H"] == [1, 0]
+
+
+def test_internal_value_error_propagates(capsys, monkeypatch):
+    def broken(dim, depth):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "verify_tangent_axioms", broken)
+    with pytest.raises(ValueError, match="an internal fault"):
+        main(["verify-axioms", "--dim", "1", "--depth", "1"])
+    assert capsys.readouterr().out == ""

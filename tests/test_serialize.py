@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_sector_form
+from helpers import random_sector_form, reference_dumps
 from sectorforms.fincard import FinMap, GenWord, Generator, factor_map
 from sectorforms.jsonio import (
     InputFormatError,
@@ -127,3 +129,39 @@ class TestFiles:
         payload = finmap_to_dict(FinMap(2, 1, (1, 1)))
         assert dumps(payload) == dumps(finmap_to_dict(FinMap(2, 1, (1, 1))))
         assert json.loads(dumps(payload)) == payload
+
+
+# strings that exercise every escape: quotes, backslashes, control
+# characters, non-ASCII, JSON punctuation and spaces
+texts = st.text(st.one_of(st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7f'), st.characters()),
+                max_size=8)
+ints = st.one_of(st.integers(-3, 3), st.integers(-10 ** 300, 10 ** 300))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+scalars = st.one_of(texts, ints, st.booleans(), st.none(), finite_floats)
+keys = st.one_of(texts, texts, ints, st.booleans(), st.none(), finite_floats)
+int_lists = st.lists(ints, max_size=6)  # the exponent-tuple fast path
+mixed_int_lists = st.lists(st.one_of(ints, st.booleans()), min_size=1, max_size=6)
+payloads = st.recursive(
+    st.one_of(scalars, int_lists, mixed_int_lists),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(texts, inner, max_size=4),
+                            st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestCanonicalWriter:
+    """`dumps` writes its bytes directly; they must be `json`'s."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(payloads)
+    def test_equals_json_indent_2(self, payload):
+        assert dumps(payload) == reference_dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        [1, True], [False, 0], (1, 2), [[], {}, ()], {1: [2], True: None, 2.5: "x"},
+        {"exp": [10 ** 40, -1, 0]}, "\"\\\u00e9\u2028\ud800\x00", [-0.0, 1e300, 0.1],
+    ], ids=["int-then-bool", "bool-then-int", "tuple", "empty", "non-str-keys",
+            "huge-ints", "escapes", "floats"])
+    def test_equals_json_on_edge_cases(self, payload):
+        assert dumps(payload) == reference_dumps(payload)
