@@ -62,6 +62,17 @@ class FinMap:
             if not 1 <= y <= self.cod:
                 raise ValueError(f"entry {x} -> {y} outside 1..{self.cod}")
 
+    @classmethod
+    def _from_table(cls, dom: int, cod: int, table: tuple[int, ...]) -> "FinMap":
+        """Wrap a table the package built itself, without re-checking it.
+
+        The caller guarantees what `__post_init__` would enforce: ``table``
+        is a tuple of ``dom`` ints, each in 1..cod.
+        """
+        out = cls.__new__(cls)
+        vars(out).update(dom=dom, cod=cod, table=table)
+        return out
+
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.dom:
             raise ValueError(f"{x} not an element of {self.dom}")
@@ -79,7 +90,8 @@ def compose(f: FinMap, g: FinMap) -> FinMap:
     """Diagrammatic composite: first ``f``, then ``g``."""
     if f.cod != g.dom:
         raise CompositionError(f"cod {f.cod} != dom {g.dom}")
-    return FinMap(f.dom, g.cod, tuple(g.table[y - 1] for y in f.table))
+    # entries of f lie in 1..f.cod = g.dom, so the composite table is valid
+    return FinMap._from_table(f.dom, g.cod, tuple(g.table[y - 1] for y in f.table))
 
 
 def monoidal_sum(f: FinMap, g: FinMap) -> FinMap:
@@ -321,11 +333,11 @@ class RelationReport:
 Realize = Callable[[Generator], FinMap]
 
 
-def _word(realize: Realize, *gens: Generator) -> FinMap:
-    out = identity(gens[0].map_dom) if gens else None
-    for g in gens:
-        m = realize(g)
-        out = m if out is None else compose(out, m)
+def _word(realized: Realize, gens: tuple[Generator, ...]) -> FinMap:
+    """Left-to-right composite of a nonempty generator word."""
+    out = realized(gens[0])
+    for g in gens[1:]:
+        out = compose(out, realized(g))
     return out
 
 
@@ -468,19 +480,33 @@ def check_relations(max_n: int,
     """Exhaustively verify every relation family for all levels up to max_n.
 
     Both sides of each instance are realized as tables and compared for
-    exact equality.  The optional ``realize`` hook lets tests corrupt a
-    generator realization and watch the sweep catch it.
+    exact equality; each distinct generator is realized once per call.
+    The optional ``realize`` hook lets tests corrupt a generator
+    realization and watch the sweep catch it.  A side whose generators do
+    not compose is a failure carrying ``"error"``, not a crash.
     """
     if max_n < 2:
         raise ValueError("need max_n >= 2 to see every family")
+    tables: dict[Generator, FinMap] = {}
+
+    def realized(g: Generator) -> FinMap:
+        out = tables.get(g)
+        if out is None:
+            out = tables[g] = realize(g)
+        return out
+
     reports = []
     for family in families:
         checked = 0
         failures = []
         for params, lhs, rhs in _relation_instances(family, max_n):
             checked += 1
-            left = _word(realize, *lhs)
-            right = identity(rhs) if isinstance(rhs, int) else _word(realize, *rhs)
+            try:
+                left = _word(realized, lhs)
+                right = identity(rhs) if isinstance(rhs, int) else _word(realized, rhs)
+            except CompositionError as err:
+                failures.append({"family": family, **params, "error": str(err)})
+                continue
             if left != right:
                 failures.append({"family": family, **params,
                                  "lhs": list(left.table), "rhs": list(right.table)})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction | int
@@ -249,7 +250,9 @@ def _images(args: Sequence[Poly]) -> list[_Image]:
             out.append(None)
             continue
         (exp, c), = a.terms.items()
-        out.append((tuple((v, p) for v, p in enumerate(exp) if p), None if c == 1 else c))
+        # compress finds the nonzero entries at C speed; a coordinate has one
+        pairs = tuple([(v, exp[v]) for v in compress(range(len(exp)), exp)])
+        out.append((pairs, None if c == 1 else c))
     return out
 
 

@@ -27,6 +27,7 @@ from sectorforms.sector import (
     is_sector_form,
     symmetry,
 )
+from sectorforms import tangent
 from sectorforms.tangent import (
     TangentCoords,
     canonical_flip,
@@ -209,6 +210,28 @@ def reference_tangent_of_map(f):
                 t = t + d.embed(2 * a, keep) * Poly.var(2 * a, a + j)
         tangent.append(t)
     return PolyMap(2 * a, 2 * b, tuple(base + tangent))
+
+
+# -- reference axiom selection ---------------------------------------------
+#
+# `verify_tangent_axioms` decides which axioms to check before it builds
+# them; this builds every axiom at every level first and filters by total
+# depth afterwards, and is the oracle for the instance list.
+
+def reference_axiom_instances(m, depth):
+    """The (name, at_dim) of every axiom instance the sweep checks, in order."""
+    out = []
+    for source in (tangent._coherence_axioms, tangent._bundle_morphism_axioms,
+                   tangent._differential_object_axioms):
+        for j in range(depth):
+            mu = m << j
+            axioms = [(name, intrinsic, build()) for name, intrinsic, build in source(mu)]
+            out += [(f"{name}@T^{j}" if j else name, mu)
+                    for name, intrinsic, _sides in axioms
+                    if j == 0 or j + intrinsic <= depth]
+    naturality = [(name, build()) for name, _intrinsic, build in tangent._naturality_axioms(m)]
+    out += [(name, m) for name, _sides in naturality]
+    return out
 
 
 # -- reference whiskers: the generic tangent-functor constructions -------

@@ -34,6 +34,21 @@ class TestVerifyRelations:
         assert len(payload["families"]) == 10
         assert "0 failures" in err
 
+    def test_checked_per_family(self, capsys):
+        _, payload, _ = run(capsys, "verify-relations", "--max-n", "8")
+        assert {f["family"]: f["checked"] for f in payload["families"]} == {
+            "pure-codegeneracy": 120,
+            "pure-coface": 165,
+            "coface-codegeneracy": 240,
+            "moore-involution": 28,
+            "moore-braid": 21,
+            "moore-commute": 35,
+            "codegeneracy-symmetry": 175,
+            "coface-symmetry": 204,
+            "fundamental-coface-codegeneracy": 44,
+            "fundamental-coface-symmetry": 37,
+        }
+
     def test_cap_guard(self, capsys):
         code, payload, _ = run(capsys, "verify-relations", "--max-n", "50")
         assert code == 3

@@ -369,6 +369,18 @@ class TestRelations:
         (rep,) = check_relations(4, families=("codegeneracy-symmetry",), realize=corrupt)
         assert len(rep.failures) > 1
 
+    def test_wrong_arity_is_a_failure(self):
+        def corrupt(g):
+            m = generator_map(g)
+            return identity(m.dom) if g.kind == EPSILON else m
+
+        reports = {r.family: r for r in check_relations(3, realize=corrupt)}
+        rep = reports["pure-codegeneracy"]
+        assert len(rep.failures) == rep.checked == 10
+        assert rep.failures[0]["error"] == "cod 3 != dom 2"
+        assert all("error" in f for f in rep.failures)
+        assert reports["pure-coface"].ok
+
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             check_relations(1)

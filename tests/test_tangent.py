@@ -60,6 +60,7 @@ from helpers import (
     reference_lift_whisker,
     reference_multilinearity_probe,
     reference_realize_word,
+    reference_axiom_instances,
     reference_tangent_of_map,
 )
 
@@ -354,6 +355,35 @@ class TestAxioms:
         monkeypatch.setattr(tangent, "canonical_flip", bad_flip)
         rep = verify_tangent_axioms(1, depth=2)
         assert not rep.ok
+
+    def test_unbuildable_axiom_is_a_failure(self, monkeypatch):
+        def broken_pair(f, g):
+            raise ValueError("maps disagree on the base block")
+
+        monkeypatch.setattr(tangent, "fibre_pair", broken_pair)
+        rep = verify_tangent_axioms(1, depth=3)
+        assert not rep.ok
+        assert all("error" in failure for failure in rep.failures)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("depth", (1, 2, 3, 4, 5))
+    def test_checks_the_eager_rule_instances(self, monkeypatch, m, depth):
+        expected = reference_axiom_instances(m, depth)
+        # every comparison fails, so the failures list every checked instance
+        monkeypatch.setattr(PolyMap, "__eq__", lambda self, other: False)
+        rep = verify_tangent_axioms(m, depth)
+        assert [(f["axiom"], f["at_dim"]) for f in rep.failures] == expected
+        assert rep.checked == len(expected)
+
+    @pytest.mark.parametrize("m, depth, checked", [
+        (1, 3, 55), (1, 4, 73), (1, 5, 91),
+        (2, 3, 55), (2, 4, 73), (2, 5, 91),
+        (3, 3, 80), (3, 4, 98), (3, 5, 116),
+    ])
+    def test_checked_at_benchmark_sizes(self, m, depth, checked):
+        rep = verify_tangent_axioms(m, depth)
+        assert rep.ok, rep.failures
+        assert rep.checked == checked
 
     def test_naturality_squares_explicit(self):
         rng = random.Random(45)
