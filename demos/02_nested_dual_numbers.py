@@ -19,7 +19,6 @@ from sectorforms import (
     canonical_flip,
     compose_polymap,
     flip_whisker,
-    iterate_tangent,
     realize_surjection,
     tangent_of_map,
     verify_tangent_axioms,
@@ -32,7 +31,7 @@ x = Poly.var(1, 0)
 square = PolyMap(1, 1, (x * x,))
 print("f(x) = x^2")
 print("Tf   =", tangent_of_map(square), "   # (x^2, 2 x v)")
-print("T2f  =", iterate_tangent(square, 2))
+print("T2f  =", tangent_of_map(tangent_of_map(square)))
 
 # evaluate: the second component carries the derivative
 print("Tf(3, 1) =", tangent_of_map(square)((Fraction(3), Fraction(1))))

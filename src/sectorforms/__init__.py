@@ -32,8 +32,6 @@ from .tangent import (
     canonical_flip,
     fibre_addition,
     flip_whisker,
-    iterate_tangent,
-    lift_whisker,
     origin_lift,
     principal_projection,
     realize_surjection,
@@ -55,7 +53,6 @@ from .sector import (
     line_one_form,
     line_two_form,
     multilinearity_failures,
-    pullback,
     symmetry,
 )
 from .cohomology import (

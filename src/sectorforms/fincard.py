@@ -32,6 +32,9 @@ SIGMA = "sigma"
 
 GENERATOR_KINDS = (EPSILON, DELTA, SIGMA)
 
+# a generator of each kind at level n has indices 1 .. n + _INDEX_TOP[kind]
+_INDEX_TOP = {EPSILON: 0, DELTA: 1, SIGMA: -1}
+
 
 class CompositionError(ValueError):
     """Raised when arities do not line up for composition."""
@@ -114,12 +117,7 @@ class Generator:
         n, i = self.n, self.i
         if n < 0:
             raise ValueError("level must be nonnegative")
-        ok = {
-            EPSILON: 1 <= i <= n,
-            DELTA: 1 <= i <= n + 1,
-            SIGMA: 1 <= i <= n - 1,
-        }[self.kind]
-        if not ok:
+        if not 1 <= i <= n + _INDEX_TOP[self.kind]:
             raise ValueError(f"index {i} out of range for {self.kind} at level {n}")
 
     @property

@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .cohomology import ComplexReport
-from .fincard import FinMap, GenWord, Generator, RelationReport
+from .fincard import FinMap, GenWord, RelationReport
 from .poly import Poly, PolyMap
 from .sector import SectorForm
 
@@ -76,10 +76,6 @@ def _expect(payload, key, kind):
 
 # -- FinMap -------------------------------------------------------------
 
-def finmap_to_dict(f: FinMap) -> dict:
-    return {"dom": f.dom, "cod": f.cod, "table": list(f.table)}
-
-
 def finmap_from_dict(payload: dict) -> FinMap:
     dom = _expect(payload, "dom", int)
     cod = _expect(payload, "cod", int)
@@ -95,19 +91,6 @@ def finmap_from_dict(payload: dict) -> FinMap:
 def genword_to_dict(w: GenWord) -> dict:
     return {"dom": w.dom, "cod": w.cod,
             "gens": [{"kind": g.kind, "n": g.n, "i": g.i} for g in w.gens]}
-
-
-def genword_from_dict(payload: dict) -> GenWord:
-    dom = _expect(payload, "dom", int)
-    cod = _expect(payload, "cod", int)
-    gens = []
-    for entry in _expect(payload, "gens", list):
-        kind = _expect(entry, "kind", str)
-        gens.append(Generator(kind, _expect(entry, "n", int), _expect(entry, "i", int)))
-    try:
-        return GenWord(dom, cod, tuple(gens))
-    except ValueError as err:
-        raise InputFormatError(str(err)) from None
 
 
 # -- Poly / PolyMap -------------------------------------------------------
@@ -204,7 +187,7 @@ def load_json_file(path: str) -> dict:
             return json.load(fh)
     except OSError as err:
         raise InputFormatError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise JsonSyntaxError(f"malformed JSON in {path}: {err}") from None
     except RecursionError:
         raise JsonSyntaxError(f"JSON in {path} is nested too deeply") from None

@@ -200,23 +200,20 @@ class Poly:
             nvars = 0
         if any(a.nvars != nvars for a in args):
             raise ValueError("replacements disagree on variable count")
-        if all(len(a.terms) <= 1 for a in args):
-            return Poly._from_terms(nvars, _substitute(self.terms, _images(args), nvars))
 
         out = Poly.zero(nvars)
         powers: dict[tuple[int, int], Poly] = {}
-
-        def power(j: int, e: int) -> Poly:
-            key = (j, e)
-            if key not in powers:
-                powers[key] = args[j] ** e
-            return powers[key]
-
         for exp, c in self.terms.items():
-            term = Poly.const(nvars, c)
+            term = None
             for j, e in enumerate(exp):
                 if e:
-                    term = term * power(j, e)
+                    if (j, e) not in powers:
+                        powers[j, e] = args[j] if e == 1 else args[j] ** e
+                    term = powers[j, e] if term is None else term * powers[j, e]
+            if term is None:
+                term = Poly.const(nvars, c)
+            elif c != 1:
+                term = term.scale(c)
             out = out + term
         return out
 

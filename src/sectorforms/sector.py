@@ -18,13 +18,11 @@ The operators:
   cardinals: one reindexing by its surjection onto the image, then a
   coface at each missing value;
 * ``exterior_derivative``     the signed sum of cofaces, which squares
-  to zero;
-* ``pullback``                precompose with an iterated tangent of a
-  polynomial map of base spaces.
+  to zero.
 
-Every operator but ``pullback`` rewrites exponent tuples and builds no
-map: on the bitmask layout each whisker is a table of source masks, and
-the Jacobian followed by the principal projection moves one power of a
+Every operator rewrites exponent tuples and builds no map: on the
+bitmask layout each whisker is a table of source masks, and the
+Jacobian followed by the principal projection moves one power of a
 variable v to v + m*2^n (docs/coordinate-layout.md, "Derivatives on
 exponent tuples" and "Linearity, codegeneracy and symmetry on exponent
 tuples").
@@ -38,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .fincard import EPSILON, SIGMA, FinMap, Generator, generator_map, split_map
-from .poly import Poly, PolyMap, compose, zero_map
-from .tangent import _cycle_sources, _flat_sources, _surjection_sources, iterate_tangent
+from .fincard import EPSILON, SIGMA, FinMap, Generator, generator_map, sigma_cycle, split_map
+from .poly import Poly, PolyMap, zero_map
+from .tangent import _flat_sources, _surjection_sources
 
 
 @dataclass(frozen=True)
@@ -157,10 +155,10 @@ def _reindex(omega: SectorForm, u: FinMap) -> SectorForm:
 
 @cache
 def _coface_table(m: int, n: int, i: int) -> tuple[int, ...]:
-    """The flip-cycle table of `_cofaces` at i into degree n on R^m, over
-    flat indices; kept, since a report asks for a handful of (m, n, i)
-    many times over."""
-    return tuple(_flat_sources(m, _cycle_sources(n, i)))
+    """The flip-cycle table of `_cofaces` at i into degree n on R^m: the
+    preimage table of `sigma_cycle(n, i)` over flat indices; kept, since
+    a report asks for a handful of (m, n, i) many times over."""
+    return tuple(_flat_sources(m, _surjection_sources(sigma_cycle(n, i))))
 
 
 def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
@@ -276,18 +274,6 @@ def is_alternating(omega: SectorForm) -> bool:
     """Every adjacent swap acts as negation (vacuous below degree 2)."""
     negated = -omega
     return all(symmetry(omega, i, validate=False) == negated for i in range(1, omega.n))
-
-
-def pullback(omega: SectorForm, phi: PolyMap, validate: bool = True) -> SectorForm:
-    """Precompose with the iterated tangent of phi: forms move contravariantly."""
-    if phi.cod_dim != omega.m:
-        raise ValueError(f"map lands in R^{phi.cod_dim}, form lives on R^{omega.m}")
-    if phi.dom_dim < 1:
-        raise ValueError("base spaces must have dimension >= 1")
-    if validate:
-        _require_sector(omega)
-    body = compose(iterate_tangent(phi, omega.n), omega.body)
-    return SectorForm(omega.n, phi.dom_dim, omega.k, body)
 
 
 # -- convenient constructors for the worked shapes ----------------------

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .fincard import (
-    EPSILON,
     SIGMA,
     FinMap,
     Generator,
@@ -56,25 +55,11 @@ class TangentCoords:
     def size(self) -> int:
         return self.base_dim << self.depth
 
-    def index(self, j: int, levels: Iterable[int]) -> int:
-        """Flat index of the coordinate (j, S): blocks in binary-counter order."""
-        if not 1 <= j <= self.base_dim:
-            raise ValueError(f"base index {j} out of range")
-        mask = 0
-        for level in levels:
-            if not 1 <= level <= self.depth:
-                raise ValueError(f"tangent level {level} out of range")
-            mask |= 1 << (level - 1)
-        return mask * self.base_dim + (j - 1)
-
     def label(self, flat: int) -> tuple[int, frozenset[int]]:
         if not 0 <= flat < self.size:
             raise ValueError("flat index out of range")
         mask, j = divmod(flat, self.base_dim)
         return j + 1, frozenset(l + 1 for l in range(self.depth) if mask >> l & 1)
-
-    def labels(self) -> list[tuple[int, frozenset[int]]]:
-        return [self.label(i) for i in range(self.size)]
 
     def name(self, flat: int) -> str:
         j, levels = self.label(flat)
@@ -111,14 +96,6 @@ def tangent_of_map(f: PolyMap) -> PolyMap:
         base.append(Poly._from_terms(n, base_terms))
         tangent.append(Poly._from_terms(n, terms))
     return PolyMap(n, 2 * b, tuple(base + tangent))
-
-
-def iterate_tangent(f: PolyMap, n: int) -> PolyMap:
-    if n < 0:
-        raise ValueError("tangent depth must be nonnegative")
-    for _ in range(n):
-        f = tangent_of_map(f)
-    return f
 
 
 # -- structural transformations at R^m --------------------------------
@@ -201,31 +178,6 @@ def _surjection_sources(u: FinMap) -> list[int | None]:
     for src, s in enumerate(preimages):
         out[s] = src
     return out
-
-
-def _cycle_sources(n: int, i: int) -> list[int]:
-    """The descending cycle of levels at i: mask bits n-i .. n-1 rotated left by one.
-
-    Equals `_surjection_sources(sigma_cycle(n, i))`; the rotation is cheaper
-    to build, and the cofaces build it at every position of every derivative.
-    """
-    shift, field = n - i, (1 << i) - 1
-    out = []
-    for mask in range(1 << n):
-        bits = mask >> shift & field
-        rotated = (bits << 1 | bits >> (i - 1)) & field
-        out.append(mask & ~(field << shift) | rotated << shift)
-    return out
-
-
-def lift_whisker(m: int, n: int, i: int) -> PolyMap:
-    """Vertical lift at generator index i: T^n R^m -> T^{n+1} R^m.
-
-    Splits tangent level n-i+1, counted from the inside; index 1 lifts
-    the outermost level.  Mask bits n-i and n-i+1 of the output must
-    agree, and fold into one bit of the input; otherwise the output is 0.
-    """
-    return _mask_map(m, n, _surjection_sources(generator_map(Generator(EPSILON, n, i))))
 
 
 def flip_whisker(m: int, n: int, i: int) -> PolyMap:

@@ -29,9 +29,7 @@ from sectorforms.sector import (
 )
 from sectorforms import tangent
 from sectorforms.tangent import (
-    TangentCoords,
     canonical_flip,
-    iterate_tangent,
     origin_lift,
     principal_projection,
     tangent_of_map,
@@ -42,6 +40,24 @@ from sectorforms.tangent import (
 def reference_dumps(payload):
     """The canonical report bytes as `json` writes them: the oracle of `jsonio.dumps`."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def finmap_payload(f):
+    """The FinMap wire format, {"dom", "cod", "table"}, of a FinMap."""
+    return {"dom": f.dom, "cod": f.cod, "table": list(f.table)}
+
+
+def flat_index(base_dim, depth, j, levels):
+    """Flat index of the coordinate (j, S) of T^depth R^base_dim:
+    blocks in binary-counter order (docs/coordinate-layout.md)."""
+    if not 1 <= j <= base_dim:
+        raise ValueError(f"base index {j} out of range")
+    mask = 0
+    for level in levels:
+        if not 1 <= level <= depth:
+            raise ValueError(f"tangent level {level} out of range")
+        mask |= 1 << (level - 1)
+    return mask * base_dim + (j - 1)
 
 
 def set_partitions(elements):
@@ -75,11 +91,10 @@ def random_sector_form(rng, n, m, d, nterms=3):
     drift outside the space it claims to sample.
     """
     partitions = list(set_partitions(range(1, n + 1)))
-    tc = TangentCoords(m, n)
     blocks = {}
     for _ in range(nterms):
         part = partitions[rng.randrange(len(partitions))]
-        coords = tuple(sorted(tc.index(rng.randint(1, m), frozenset(b)) for b in part))
+        coords = tuple(sorted(flat_index(m, n, rng.randint(1, m), b) for b in part))
         coeff = random_base_poly(rng, m, d)
         blocks[coords] = blocks.get(coords, Poly.zero(m)) + coeff
     form = form_from_coefficients(n, m, blocks)
@@ -242,6 +257,15 @@ def reference_axiom_instances(m, depth):
 # structural maps and composing, and serve as the oracle for both.  Maps
 # are immutable, so each shape is built once.
 
+def iterate_tangent(f, n):
+    """T^n f: the tangent functor applied n times."""
+    if n < 0:
+        raise ValueError("tangent depth must be nonnegative")
+    for _ in range(n):
+        f = tangent_of_map(f)
+    return f
+
+
 @lru_cache(maxsize=None)
 def reference_lift_whisker(m, n, i):
     return iterate_tangent(vertical_lift(m << (n - i)), i - 1)
@@ -277,6 +301,17 @@ def reference_realize_word(w, m):
     return out
 
 
+def reference_cycle_sources(n, i):
+    """The flip cycle at i as a rotation: mask bits n-i .. n-1 rotated left by one."""
+    shift, field = n - i, (1 << i) - 1
+    out = []
+    for mask in range(1 << n):
+        bits = mask >> shift & field
+        rotated = (bits << 1 | bits >> (i - 1)) & field
+        out.append(mask & ~(field << shift) | rotated << shift)
+    return out
+
+
 @lru_cache(maxsize=None)
 def reference_multilinearity_probe(m, n, i):
     """Lift at index i, then the flip cycle: T^n R^m -> T^{n+1} R^m."""
@@ -308,6 +343,16 @@ def reference_codegeneracy(omega, i):
 def reference_symmetry(omega, i):
     body = compose(reference_flip_whisker(omega.m, omega.n, i), omega.body)
     return SectorForm(omega.n, omega.m, omega.k, body)
+
+
+# -- reference pullback: precompose with an iterated tangent ------------
+
+def reference_pullback(omega, phi):
+    """Precompose the body with T^n phi: forms move contravariantly."""
+    if phi.cod_dim != omega.m:
+        raise ValueError(f"map lands in R^{phi.cod_dim}, form lives on R^{omega.m}")
+    body = compose(iterate_tangent(phi, omega.n), omega.body)
+    return SectorForm(omega.n, phi.dom_dim, omega.k, body)
 
 
 # -- reference sector basis: an ansatz and its linearity equations ------

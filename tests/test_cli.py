@@ -4,11 +4,11 @@ import time
 
 import pytest
 
-from helpers import random_sector_form, reference_dumps
+from helpers import finmap_payload, random_sector_form, reference_dumps
 from sectorforms import cli
 from sectorforms.cli import build_parser, main
 from sectorforms.fincard import FinMap
-from sectorforms.jsonio import dumps, finmap_to_dict, sectorform_to_dict
+from sectorforms.jsonio import dumps, sectorform_to_dict
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import SectorForm, exterior_derivative, line_one_form
 
@@ -74,20 +74,20 @@ class TestVerifyAxioms:
 
 class TestFactor:
     def test_surjection(self, tmp_path, capsys):
-        path = write_json(tmp_path, "map.json", finmap_to_dict(FinMap(3, 2, (2, 1, 1))))
+        path = write_json(tmp_path, "map.json", finmap_payload(FinMap(3, 2, (2, 1, 1))))
         code, payload, _ = run(capsys, "factor", "--in", path, "--gens", "surj")
         assert code == 0
         assert payload["dom"] == 3 and payload["cod"] == 2
         assert all(g["kind"] in ("epsilon", "sigma") for g in payload["gens"])
 
     def test_full_factorization(self, tmp_path, capsys):
-        path = write_json(tmp_path, "map.json", finmap_to_dict(FinMap(1, 2, (1,))))
+        path = write_json(tmp_path, "map.json", finmap_payload(FinMap(1, 2, (1,))))
         code, payload, _ = run(capsys, "factor", "--in", path)
         assert code == 0
         assert [g["kind"] for g in payload["gens"]] == ["delta", "sigma"]
 
     def test_non_surjective_rejected(self, tmp_path, capsys):
-        path = write_json(tmp_path, "map.json", finmap_to_dict(FinMap(1, 2, (1,))))
+        path = write_json(tmp_path, "map.json", finmap_payload(FinMap(1, 2, (1,))))
         code, payload, _ = run(capsys, "factor", "--in", path, "--gens", "surj")
         assert code == 2
         assert payload["error"] == "invalid-input"
@@ -106,7 +106,7 @@ class TestFactor:
         assert payload["error"] == "bad-format"
 
     def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, monkeypatch):
-        path = write_json(tmp_path, "id.json", finmap_to_dict(FinMap(1, 1, (1,))))
+        path = write_json(tmp_path, "id.json", finmap_payload(FinMap(1, 1, (1,))))
         target = tmp_path / "missing" / "x.json"
         opened = []
 
@@ -135,12 +135,24 @@ def test_deeply_nested_json_is_bad_json(tmp_path, capsys, command):
     assert payload["error"] == "bad-json"
 
 
+@pytest.mark.parametrize("command", (("factor", "--in"), ("derive", "--form")),
+                         ids=["factor", "derive"])
+def test_non_utf8_input_is_bad_json(tmp_path, capsys, command):
+    # a file that opens with the UTF-16 byte-order mark \xff\xfe is not UTF-8
+    path = tmp_path / "utf16.json"
+    path.write_bytes("\ufeff{}".encode("utf-16-le"))
+    code, payload, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert payload["error"] == "bad-json"
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestApplyAndDerive:
     def test_apply_identity(self, tmp_path, capsys):
         rng = random.Random(1)
         w = random_sector_form(rng, 1, 1, 2)
         form = write_json(tmp_path, "form.json", sectorform_to_dict(w))
-        fmap = write_json(tmp_path, "map.json", finmap_to_dict(FinMap(1, 1, (1,))))
+        fmap = write_json(tmp_path, "map.json", finmap_payload(FinMap(1, 1, (1,))))
         code, payload, _ = run(capsys, "apply", "--form", form, "--map", fmap)
         assert code == 0
         assert payload == sectorform_to_dict(w)
@@ -148,7 +160,7 @@ class TestApplyAndDerive:
     def test_apply_degree_mismatch(self, tmp_path, capsys):
         w = line_one_form(Poly.var(1, 0))
         form = write_json(tmp_path, "form.json", sectorform_to_dict(w))
-        fmap = write_json(tmp_path, "map.json", finmap_to_dict(FinMap(2, 1, (1, 1))))
+        fmap = write_json(tmp_path, "map.json", finmap_payload(FinMap(2, 1, (1, 1))))
         code, payload, _ = run(capsys, "apply", "--form", form, "--map", fmap)
         assert code == 2
         assert payload["error"] == "dimension-mismatch"
@@ -212,7 +224,7 @@ class TestApplyAndDerive:
         size = m << n
         body = {"dom": size, "cod": 1, "components": [{"vars": size, "terms": []}]}
         form = write_json(tmp_path, "form.json", {"n": n, "m": m, "k": 1, "body": body})
-        path = write_json(tmp_path, "map.json", finmap_to_dict(fmap))
+        path = write_json(tmp_path, "map.json", finmap_payload(fmap))
         for argv, degree in ((("derive", "--form", form), n + 1),
                              (("derive", "--form", form, "--position", "1"), n + 1),
                              (("apply", "--form", form, "--map", path), fmap.cod)):
@@ -342,7 +354,7 @@ def test_least_legal_argument_is_answered(capsys, argv):
 def test_written_bytes_are_json_indent_2(tmp_path, capsys, monkeypatch, argv):
     form = write_json(tmp_path, "form.json",
                       sectorform_to_dict(random_sector_form(random.Random(7), 2, 2, 2)))
-    fmap = write_json(tmp_path, "map.json", finmap_to_dict(FinMap(2, 2, (2, 1))))
+    fmap = write_json(tmp_path, "map.json", finmap_payload(FinMap(2, 2, (2, 1))))
     argv = [{"FORM": form, "MAP": fmap}.get(a, a) for a in argv]
     written = []
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,6 +8,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "sectorforms").glob("*.py"))
+
+# perfbench/tracing.py counts calls of Poly.partial through getattr(Poly,
+# "partial"); it goes with the next change to the benchmark
+CALLED_FROM_OUTSIDE = {"Poly.partial"}
 
 # demo name -> (line prefix, the rest of that line after whitespace)
 EXPECTED_LINES = {"04_cohomology_of_the_line": ("H^0, H^1, H^2:", "(1, 0, 0)")}
@@ -27,3 +33,29 @@ def test_demo_runs(path):
         prefix, rest = EXPECTED_LINES[path.stem]
         lines = [l[len(prefix):].strip() for l in proc.stdout.splitlines() if l.startswith(prefix)]
         assert lines == [rest]
+
+
+def public_definitions(path):
+    """(qualified name, bare name) of each public module-level function and
+    class of a file, and of each public method of those classes."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_definition_has_a_caller():
+    # a name or attribute read anywhere in src/ or the demos counts as a use;
+    # imports and string literals do not
+    used = set()
+    for path in SOURCES + DEMOS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    uncalled = {qual for path in SOURCES for qual, name in public_definitions(path)
+                if name not in used}
+    assert uncalled == CALLED_FROM_OUTSIDE

@@ -152,6 +152,23 @@ class TestGenerators:
             Generator(DELTA, 2, 4)
         Generator(DELTA, 0, 1)  # the empty cardinal is first class
 
+    @pytest.mark.parametrize("kind,top", ((EPSILON, 0), (DELTA, 1), (SIGMA, -1)))
+    def test_largest_index_per_kind(self, kind, top):
+        # at level n the indices run 1 .. n + top; 0 and n + top + 1 are out
+        for n in range(6):
+            last = n + top
+            if last >= 1:
+                assert Generator(kind, n, last).i == last
+            for bad in (0, last + 1):
+                with pytest.raises(ValueError):
+                    Generator(kind, n, bad)
+
+    @pytest.mark.parametrize("kind", ("zeta", "", None, 3, ["epsilon"]),
+                             ids=["zeta", "empty", "none", "int", "unhashable"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError):
+            Generator(kind, 2, 1)
+
 
 class TestWords:
     def test_empty_word_is_identity(self):

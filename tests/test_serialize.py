@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sector_form, reference_dumps
-from sectorforms.fincard import FinMap, GenWord, Generator, factor_map
+from helpers import finmap_payload, random_sector_form, reference_dumps
+from sectorforms.fincard import CompositionError, FinMap, GenWord, Generator, factor_map
 from sectorforms.jsonio import (
     InputFormatError,
     JsonSyntaxError,
     dumps,
     finmap_from_dict,
-    finmap_to_dict,
-    genword_from_dict,
     genword_to_dict,
     load_json_file,
     poly_from_dict,
@@ -32,11 +30,11 @@ F = Fraction
 class TestFinMapJson:
     def test_round_trip(self):
         f = FinMap(3, 2, (2, 1, 1))
-        assert finmap_from_dict(finmap_to_dict(f)) == f
+        assert finmap_from_dict(finmap_payload(f)) == f
 
     def test_golden_bytes(self):
         f = FinMap(2, 2, (2, 1))
-        assert dumps(finmap_to_dict(f)) == (
+        assert dumps(finmap_payload(f)) == (
             '{\n  "dom": 2,\n  "cod": 2,\n  "table": [\n    2,\n    1\n  ]\n}\n')
 
     def test_bad_payloads(self):
@@ -50,8 +48,11 @@ class TestFinMapJson:
 
 class TestGenWordJson:
     def test_round_trip(self):
+        # the payload names every generator and both endpoints
         w = factor_map(FinMap(2, 3, (3, 1)))
-        assert genword_from_dict(genword_to_dict(w)) == w
+        payload = json.loads(dumps(genword_to_dict(w)))
+        gens = tuple(Generator(g["kind"], g["n"], g["i"]) for g in payload["gens"])
+        assert GenWord(payload["dom"], payload["cod"], gens) == w
 
     def test_kind_strings(self):
         w = GenWord(1, 2, (Generator("delta", 1, 1), Generator("sigma", 2, 1)))
@@ -60,13 +61,11 @@ class TestGenWordJson:
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
-            genword_from_dict({"dom": 1, "cod": 1,
-                               "gens": [{"kind": "zeta", "n": 1, "i": 1}]})
+            Generator("zeta", 1, 1)
 
     def test_noncomposable_rejected(self):
-        with pytest.raises(InputFormatError):
-            genword_from_dict({"dom": 2, "cod": 2,
-                               "gens": [{"kind": "epsilon", "n": 1, "i": 1}]})
+        with pytest.raises(CompositionError):
+            GenWord(2, 2, (Generator("epsilon", 1, 1),))
 
 
 class TestPolyJson:
@@ -126,8 +125,8 @@ class TestFiles:
             load_json_file("/nonexistent/x.json")
 
     def test_dumps_deterministic(self):
-        payload = finmap_to_dict(FinMap(2, 1, (1, 1)))
-        assert dumps(payload) == dumps(finmap_to_dict(FinMap(2, 1, (1, 1))))
+        payload = finmap_payload(FinMap(2, 1, (1, 1)))
+        assert dumps(payload) == dumps(finmap_payload(FinMap(2, 1, (1, 1))))
         assert json.loads(dumps(payload)) == payload
 
 

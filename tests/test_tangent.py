@@ -17,14 +17,13 @@ from sectorforms.fincard import (
     sigma_cycle,
 )
 from sectorforms.poly import Poly, PolyMap, compose, coordinate_map, identity_map, zero_map
+from sectorforms.sector import _coface_table
 from sectorforms.tangent import (
     TangentCoords,
     bundle_projection,
     canonical_flip,
     fibre_addition,
     flip_whisker,
-    iterate_tangent,
-    lift_whisker,
     origin_lift,
     principal_projection,
     realize_surjection,
@@ -53,8 +52,11 @@ def random_polymap(rng, a, b, deg=2, nterms=3):
 
 from helpers import (
     all_surjections,
+    flat_index,
+    iterate_tangent,
     random_surjection,
     randomized_factorization,
+    reference_cycle_sources,
     reference_flip_cycle,
     reference_flip_whisker,
     reference_lift_whisker,
@@ -65,28 +67,32 @@ from helpers import (
 )
 
 
+def labels(tc):
+    return [tc.label(flat) for flat in range(tc.size)]
+
+
 class TestTangentCoords:
     def test_layout_depth2(self):
         tc = TangentCoords(1, 2)
-        assert tc.labels() == [(1, frozenset()), (1, frozenset({1})),
-                               (1, frozenset({2})), (1, frozenset({1, 2}))]
+        assert labels(tc) == [(1, frozenset()), (1, frozenset({1})),
+                              (1, frozenset({2})), (1, frozenset({1, 2}))]
 
     def test_layout_depth3_matches_eight_tuple(self):
         # <x, u{1}, u{2}, u{1,2}, u{3}, u{1,3}, u{2,3}, u{1,2,3}>
         tc = TangentCoords(1, 3)
         masks = [frozenset(), {1}, {2}, {1, 2}, {3}, {1, 3}, {2, 3}, {1, 2, 3}]
-        assert [lv for _, lv in tc.labels()] == [frozenset(s) for s in masks]
+        assert [lv for _, lv in labels(tc)] == [frozenset(s) for s in masks]
 
     def test_prefix_property(self):
         inner = TangentCoords(2, 2)
         outer = TangentCoords(2, 3)
-        assert outer.labels()[: inner.size] == inner.labels()
+        assert labels(outer)[: inner.size] == labels(inner)
 
     def test_index_label_round_trip(self):
         tc = TangentCoords(3, 3)
         for flat in range(tc.size):
             j, levels = tc.label(flat)
-            assert tc.index(j, levels) == flat
+            assert flat_index(3, 3, j, levels) == flat
 
     def test_names(self):
         tc = TangentCoords(2, 1)
@@ -232,13 +238,15 @@ class TestWhiskers:
         assert flip_whisker(1, 3, 2) == coordinate_map(8, [0, 2, 1, 3, 4, 6, 5, 7])
 
     def test_lift_whisker_base_case(self):
-        assert lift_whisker(1, 1, 1) == vertical_lift(1)
-        assert lift_whisker(2, 1, 1) == vertical_lift(2)
+        lift = generator_map(Generator(EPSILON, 1, 1))
+        for m in (1, 2):
+            assert realize_surjection(lift, m) == vertical_lift(m)
 
     def test_flip_cycle_index_one_is_identity(self):
         # the coface at position 1 is the fundamental derivative
-        for n in range(1, 5):
-            assert tangent._cycle_sources(n, 1) == list(range(1 << n))
+        for m in (1, 2):
+            for n in range(1, 5):
+                assert _coface_table(m, n, 1) == tuple(range(m << n))
 
     def test_flip_cycle_realizes_cycle_permutation(self):
         # the action of the cycle permutation is the composed flip cycle
@@ -247,9 +255,10 @@ class TestWhiskers:
                 assert realize_surjection(sigma_cycle(n, i), 1) == reference_flip_cycle(1, n, i)
 
     def test_cycle_table_is_the_preimage_rule(self):
+        # the coface tables rotate the outer i levels, as the preimage rule gives
         for n in range(1, 8):
             for i in range(1, n + 1):
-                assert tangent._cycle_sources(n, i) == tangent._surjection_sources(sigma_cycle(n, i))
+                assert _coface_table(1, n, i) == tuple(reference_cycle_sources(n, i))
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_tables_match_tangent_functor_reference(self, m):
@@ -257,13 +266,13 @@ class TestWhiskers:
             for i in range(1, n):
                 assert flip_whisker(m, n, i) == reference_flip_whisker(m, n, i)
             for i in range(1, n + 1):
-                assert lift_whisker(m, n, i) == reference_lift_whisker(m, n, i)
-                cycle = tangent._mask_map(m, n, tangent._cycle_sources(n, i))
-                assert cycle == reference_flip_cycle(m, n, i)
+                lift = generator_map(Generator(EPSILON, n, i))
+                assert realize_surjection(lift, m) == reference_lift_whisker(m, n, i)
+                assert realize_surjection(sigma_cycle(n, i), m) == reference_flip_cycle(m, n, i)
 
     def test_index_ranges(self):
         with pytest.raises(ValueError):
-            lift_whisker(1, 2, 3)
+            Generator(EPSILON, 2, 3)
         with pytest.raises(ValueError):
             flip_whisker(1, 2, 2)
 
