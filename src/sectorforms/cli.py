@@ -119,6 +119,9 @@ def _cmd_verify_axioms(args) -> int:
 
 def _cmd_factor(args) -> int:
     fmap = jsonio.finmap_from_dict(jsonio.load_json_file(args.infile))
+    # the word length grows quadratically in dom and cod
+    _guard(fmap.dom, args.cap_n, "dom")
+    _guard(fmap.cod, args.cap_n, "cod")
     if args.gens == "surj":
         if not classify(fmap).surjective:
             raise CommandError("invalid-input", "map is not surjective; use --gens full")
@@ -217,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor a map of finite cardinals into generators")
     p.add_argument("--in", required=True, dest="infile", help="FinMap JSON file")
     p.add_argument("--gens", choices=("surj", "full"), default="full")
+    p.add_argument("--cap-n", type=int, default=64, dest="cap_n")
     common(p)
     p.set_defaults(fn=_cmd_factor)
 

@@ -15,7 +15,10 @@ The generating morphisms are
 and every map factors through them.  `check_relations` machine-verifies
 the ten relation families of the two presentations (the full one over
 epsilon/delta/sigma, and the leaner one over epsilon/sigma plus the
-fundamental cofaces delta_1) by exhaustive table evaluation.
+fundamental cofaces delta_1) by exhaustive table evaluation: each
+relation word is a tuple of (kind, n, i) triples, evaluated left to
+right on plain tables, and each generator is realized once per distinct
+triple.
 
 Composition is diagrammatic throughout: ``compose(f, g)`` applies ``f``
 first.
@@ -329,131 +332,126 @@ class RelationReport:
 
 
 Realize = Callable[[Generator], FinMap]
+# a generator as a plain (kind, n, i) triple, the key of Generator(kind, n, i)
+GenKey = tuple[str, int, int]
 
 
-def _word(realized: Realize, gens: tuple[Generator, ...]) -> FinMap:
-    """Left-to-right composite of a nonempty generator word."""
-    out = realized(gens[0])
-    for g in gens[1:]:
-        out = compose(out, realized(g))
-    return out
-
-
-def _relation_instances(family: str, max_n: int) -> Iterator[tuple[dict, tuple[Generator, ...], tuple[Generator, ...] | int]]:
+def _relation_instances(family: str, max_n: int) -> Iterator[tuple[dict, tuple[GenKey, ...], tuple[GenKey, ...] | int]]:
     """Yield (params, lhs word, rhs word-or-identity-level) for one family.
 
-    An int on the right-hand side stands for the identity at that cardinal.
+    Each word is a tuple of (kind, n, i) triples, the fields of the
+    `Generator` it names; an int on the right-hand side stands for the
+    identity at that cardinal.
     """
     E, D, S = EPSILON, DELTA, SIGMA
-    g = Generator
     if family == "pure-codegeneracy":
         # eps_i ; eps_j = eps_{j+1} ; eps_i   (i <= j)
         for n in range(1, max_n + 1):
             for j in range(1, n + 1):
                 for i in range(1, j + 1):
                     yield ({"n": n, "i": i, "j": j},
-                           (g(E, n + 1, i), g(E, n, j)),
-                           (g(E, n + 1, j + 1), g(E, n, i)))
+                           ((E, n + 1, i), (E, n, j)),
+                           ((E, n + 1, j + 1), (E, n, i)))
     elif family == "pure-coface":
         # delta_j ; delta_i = delta_i ; delta_{j+1}   (i <= j)
         for n in range(0, max_n + 1):
             for j in range(1, n + 2):
                 for i in range(1, j + 1):
                     yield ({"n": n, "i": i, "j": j},
-                           (g(D, n, j), g(D, n + 1, i)),
-                           (g(D, n, i), g(D, n + 1, j + 1)))
+                           ((D, n, j), (D, n + 1, i)),
+                           ((D, n, i), (D, n + 1, j + 1)))
     elif family == "coface-codegeneracy":
         # delta_i ; eps_j = eps_{j-1}; delta_i | 1 | eps_j; delta_{i-1}
         for n in range(1, max_n + 1):
             for i in range(1, n + 2):
                 for j in range(1, n + 1):
                     params = {"n": n, "i": i, "j": j}
-                    lhs = (g(D, n, i), g(E, n, j))
+                    lhs = ((D, n, i), (E, n, j))
                     if i < j:
-                        yield (params, lhs, (g(E, n - 1, j - 1), g(D, n - 1, i)))
+                        yield (params, lhs, ((E, n - 1, j - 1), (D, n - 1, i)))
                     elif i in (j, j + 1):
                         yield (params, lhs, n)
                     else:
-                        yield (params, lhs, (g(E, n - 1, j), g(D, n - 1, i - 1)))
+                        yield (params, lhs, ((E, n - 1, j), (D, n - 1, i - 1)))
     elif family == "moore-involution":
         for n in range(2, max_n + 1):
             for i in range(1, n):
-                yield ({"n": n, "i": i}, (g(S, n, i), g(S, n, i)), n)
+                yield ({"n": n, "i": i}, ((S, n, i), (S, n, i)), n)
     elif family == "moore-braid":
         for n in range(3, max_n + 1):
             for i in range(1, n - 1):
                 yield ({"n": n, "i": i},
-                       (g(S, n, i), g(S, n, i + 1), g(S, n, i)),
-                       (g(S, n, i + 1), g(S, n, i), g(S, n, i + 1)))
+                       ((S, n, i), (S, n, i + 1), (S, n, i)),
+                       ((S, n, i + 1), (S, n, i), (S, n, i + 1)))
     elif family == "moore-commute":
         for n in range(2, max_n + 1):
             for j in range(1, n):
                 for i in range(1, j - 1):
                     yield ({"n": n, "i": i, "j": j},
-                           (g(S, n, j), g(S, n, i)),
-                           (g(S, n, i), g(S, n, j)))
+                           ((S, n, j), (S, n, i)),
+                           ((S, n, i), (S, n, j)))
     elif family == "codegeneracy-symmetry":
         for n in range(2, max_n + 1):
             # eps_j ; sig_i = sig_i ; eps_j           (i < j - 1)
             for j in range(1, n + 1):
                 for i in range(1, min(j - 1, n)):
                     yield ({"n": n, "i": i, "j": j, "case": "far-below"},
-                           (g(E, n, j), g(S, n, i)),
-                           (g(S, n + 1, i), g(E, n, j)))
+                           ((E, n, j), (S, n, i)),
+                           ((S, n + 1, i), (E, n, j)))
             # eps_i ; sig_i = sig_{i+1} ; sig_i ; eps_{i+1}
             for i in range(1, n):
                 yield ({"n": n, "i": i, "case": "clash"},
-                       (g(E, n, i), g(S, n, i)),
-                       (g(S, n + 1, i + 1), g(S, n + 1, i), g(E, n, i + 1)))
+                       ((E, n, i), (S, n, i)),
+                       ((S, n + 1, i + 1), (S, n + 1, i), (E, n, i + 1)))
             # eps_j ; sig_i = sig_{i+1} ; eps_j       (i > j)
             for j in range(1, n + 1):
                 for i in range(j + 1, n):
                     yield ({"n": n, "i": i, "j": j, "case": "above"},
-                           (g(E, n, j), g(S, n, i)),
-                           (g(S, n + 1, i + 1), g(E, n, j)))
+                           ((E, n, j), (S, n, i)),
+                           ((S, n + 1, i + 1), (E, n, j)))
             # sig_i ; eps_i = eps_i
             for i in range(1, n + 1):
                 yield ({"n": n, "i": i, "case": "absorb"},
-                       (g(S, n + 1, i), g(E, n, i)),
-                       (g(E, n, i),))
+                       ((S, n + 1, i), (E, n, i)),
+                       ((E, n, i),))
     elif family == "coface-symmetry":
         for n in range(1, max_n + 1):
             # delta_j ; sig_i = sig_i ; delta_j       (i < j - 1)
             for j in range(1, n + 2):
                 for i in range(1, min(j - 1, n)):
                     yield ({"n": n, "i": i, "j": j, "case": "far-below"},
-                           (g(D, n, j), g(S, n + 1, i)),
-                           (g(S, n, i), g(D, n, j)))
+                           ((D, n, j), (S, n + 1, i)),
+                           ((S, n, i), (D, n, j)))
             # delta_i ; sig_i = delta_{i+1}
             for i in range(1, n + 1):
                 yield ({"n": n, "i": i, "case": "shift"},
-                       (g(D, n, i), g(S, n + 1, i)),
-                       (g(D, n, i + 1),))
+                       ((D, n, i), (S, n + 1, i)),
+                       ((D, n, i + 1),))
             # delta_j ; sig_i = sig_{i-1} ; delta_j   (i > j)
             for j in range(1, n + 2):
                 for i in range(j + 1, n + 1):
                     yield ({"n": n, "i": i, "j": j, "case": "above"},
-                           (g(D, n, j), g(S, n + 1, i)),
-                           (g(S, n, i - 1), g(D, n, j)))
+                           ((D, n, j), (S, n + 1, i)),
+                           ((S, n, i - 1), (D, n, j)))
     elif family == "fundamental-coface-codegeneracy":
         # delta_1 ; eps_1 = 1   and   delta_1 ; eps_{j+1} = eps_j ; delta_1
         for n in range(1, max_n + 1):
-            yield ({"n": n, "case": "retract"}, (g(D, n, 1), g(E, n, 1)), n)
+            yield ({"n": n, "case": "retract"}, ((D, n, 1), (E, n, 1)), n)
             for j in range(1, n + 1):
                 yield ({"n": n, "j": j, "case": "slide"},
-                       (g(D, n + 1, 1), g(E, n + 1, j + 1)),
-                       (g(E, n, j), g(D, n, 1)))
+                       ((D, n + 1, 1), (E, n + 1, j + 1)),
+                       ((E, n, j), (D, n, 1)))
     elif family == "fundamental-coface-symmetry":
         # delta_1 ; delta_1 ; sig_1 = delta_1 ; delta_1   and
         # delta_1 ; sig_{i+1} = sig_i ; delta_1
         for n in range(0, max_n + 1):
             yield ({"n": n, "case": "square"},
-                   (g(D, n, 1), g(D, n + 1, 1), g(S, n + 2, 1)),
-                   (g(D, n, 1), g(D, n + 1, 1)))
+                   ((D, n, 1), (D, n + 1, 1), (S, n + 2, 1)),
+                   ((D, n, 1), (D, n + 1, 1)))
             for i in range(1, n):
                 yield ({"n": n, "i": i, "case": "slide"},
-                       (g(D, n, 1), g(S, n + 1, i + 1)),
-                       (g(S, n, i), g(D, n, 1)))
+                       ((D, n, 1), (S, n + 1, i + 1)),
+                       ((S, n, i), (D, n, 1)))
     else:
         raise ValueError(f"unknown relation family {family!r}")
 
@@ -477,21 +475,35 @@ def check_relations(max_n: int,
                     realize: Realize = generator_map) -> list[RelationReport]:
     """Exhaustively verify every relation family for all levels up to max_n.
 
-    Both sides of each instance are realized as tables and compared for
-    exact equality; each distinct generator is realized once per call.
-    The optional ``realize`` hook lets tests corrupt a generator
-    realization and watch the sweep catch it.  A side whose generators do
-    not compose is a failure carrying ``"error"``, not a crash.
+    Both sides of each instance are evaluated left to right on plain
+    0-based tables and compared with their endpoints for exact equality.
+    Each distinct (kind, n, i) triple is validated as a `Generator` and
+    realized through ``realize`` once per call, on its first use.  The
+    hook lets tests corrupt a generator realization and watch the sweep
+    catch it.  A side whose generators do not compose is a failure
+    carrying ``"error"``, not a crash; other failures carry both sides as
+    1-based ``"lhs"`` and ``"rhs"`` tables.
     """
     if max_n < 2:
         raise ValueError("need max_n >= 2 to see every family")
-    tables: dict[Generator, FinMap] = {}
+    # triple -> (dom, cod, table with table[x] the 0-based image of x)
+    tables: dict[GenKey, tuple[int, int, tuple[int, ...]]] = {}
 
-    def realized(g: Generator) -> FinMap:
-        out = tables.get(g)
-        if out is None:
-            out = tables[g] = realize(g)
-        return out
+    def table(key: GenKey) -> tuple[int, int, tuple[int, ...]]:
+        entry = tables.get(key)
+        if entry is None:
+            f = realize(Generator(*key))
+            entry = tables[key] = (f.dom, f.cod, tuple([y - 1 for y in f.table]))
+        return entry
+
+    def evaluate(word: tuple[GenKey, ...]) -> tuple[int, int, tuple[int, ...]]:
+        dom, cod, acc = table(word[0])
+        for key in word[1:]:
+            d, c, t = table(key)
+            if cod != d:
+                raise CompositionError(f"cod {cod} != dom {d}")
+            acc, cod = tuple(map(t.__getitem__, acc)), c
+        return dom, cod, acc
 
     reports = []
     for family in families:
@@ -500,13 +512,14 @@ def check_relations(max_n: int,
         for params, lhs, rhs in _relation_instances(family, max_n):
             checked += 1
             try:
-                left = _word(realized, lhs)
-                right = identity(rhs) if isinstance(rhs, int) else _word(realized, rhs)
+                left = evaluate(lhs)
+                right = (rhs, rhs, tuple(range(rhs))) if isinstance(rhs, int) else evaluate(rhs)
             except CompositionError as err:
                 failures.append({"family": family, **params, "error": str(err)})
                 continue
             if left != right:
                 failures.append({"family": family, **params,
-                                 "lhs": list(left.table), "rhs": list(right.table)})
+                                 "lhs": [y + 1 for y in left[2]],
+                                 "rhs": [y + 1 for y in right[2]]})
         reports.append(RelationReport(family, max_n, checked, tuple(failures)))
     return reports

@@ -17,6 +17,10 @@ Rat = Fraction | int
 Exponent = tuple[int, ...]
 
 
+# Fractions are immutable, so every unit coefficient can be this one
+_ONE = Fraction(1)
+
+
 def _frac(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
@@ -68,7 +72,7 @@ class Poly:
             raise ValueError(f"variable {j} out of range")
         exp = [0] * nvars
         exp[j] = 1
-        return cls._from_terms(nvars, {tuple(exp): Fraction(1)})
+        return cls._from_terms(nvars, {tuple(exp): _ONE})
 
     @classmethod
     def monomial(cls, nvars: int, exp: Exponent, c: Rat = 1) -> "Poly":
@@ -344,14 +348,46 @@ def coordinate_map(dom_dim: int, assignment: Iterable[int | None]) -> PolyMap:
     return PolyMap(dom_dim, len(comps), comps)
 
 
+def _picks(g: PolyMap) -> list[int | None] | None:
+    """The coordinate table of g when every component is 0 or a variable
+    with coefficient 1 (None for 0, j for x_j); None when some is not."""
+    out: list[int | None] = []
+    for comp in g.components:
+        terms = comp.terms
+        if not terms:
+            out.append(None)
+            continue
+        if len(terms) > 1:
+            return None
+        (exp, c), = terms.items()
+        if c != 1 or sum(exp) != 1:
+            return None
+        out.append(exp.index(1))
+    return out
+
+
 def compose(f: PolyMap, g: PolyMap) -> PolyMap:
-    """Diagrammatic composite: first ``f``, then ``g``."""
+    """Diagrammatic composite: first ``f``, then ``g``.
+
+    Three cases, tried in order:
+
+    * g is a coordinate map (each component 0 or a variable x_j with
+      coefficient 1): the composite picks component j of f for each x_j
+      and one zero polynomial for each 0; nothing is substituted.
+    * every component of f is 0 or a single term: exponents of g are
+      rewritten term by term (`_substitute`).
+    * otherwise each component of g is expanded by `Poly.subs`.
+    """
     if f.cod_dim != g.dom_dim:
         raise ValueError(f"cod {f.cod_dim} != dom {g.dom_dim}")
     # every component of f lives in f.dom_dim variables (PolyMap checks it),
     # so subs' per-call checks would only repeat; decide the case once
     args, n = f.components, f.dom_dim
-    if all(len(a.terms) <= 1 for a in args):
+    picks = _picks(g)
+    if picks is not None:
+        zero = Poly._from_terms(n, {})
+        comps = tuple(zero if j is None else args[j] for j in picks)
+    elif all(len(a.terms) <= 1 for a in args):
         images = _images(args)
         comps = tuple(Poly._from_terms(n, _substitute(c.terms, images, n))
                       for c in g.components)

@@ -8,10 +8,14 @@ from itertools import combinations, product
 
 from sectorforms.fincard import (
     EPSILON,
+    RELATION_FAMILIES,
     SIGMA,
+    CompositionError,
     FinMap,
     GenWord,
     Generator,
+    RelationReport,
+    _relation_instances,
     compose as fc_compose,
     generator_map,
     identity,
@@ -166,6 +170,50 @@ def randomized_factorization(rng, u):
             table = list(cur.table)
             del table[j]
             cur = FinMap(cur.dom - 1, cur.cod, tuple(table))
+
+
+# -- reference relation sweep ------------------------------------------------
+#
+# `check_relations` evaluates each relation word on plain 0-based tables;
+# this builds every generator as a `Generator`, composes the words as
+# `FinMap`s, and is the oracle for its reports.
+
+def _reference_word(realized, gens):
+    """Left-to-right composite of a nonempty generator word."""
+    out = realized(gens[0])
+    for g in gens[1:]:
+        out = fc_compose(out, realized(g))
+    return out
+
+
+def reference_check_relations(max_n, families=RELATION_FAMILIES, realize=generator_map):
+    """The `RelationReport` list of `check_relations`, through `FinMap` composition."""
+    tables = {}
+
+    def realized(g):
+        if g not in tables:
+            tables[g] = realize(g)
+        return tables[g]
+
+    reports = []
+    for family in families:
+        checked = 0
+        failures = []
+        for params, lhs, rhs in _relation_instances(family, max_n):
+            checked += 1
+            lhs = tuple(Generator(*k) for k in lhs)
+            try:
+                left = _reference_word(realized, lhs)
+                right = (identity(rhs) if isinstance(rhs, int)
+                         else _reference_word(realized, tuple(Generator(*k) for k in rhs)))
+            except CompositionError as err:
+                failures.append({"family": family, **params, "error": str(err)})
+                continue
+            if left != right:
+                failures.append({"family": family, **params,
+                                 "lhs": list(left.table), "rhs": list(right.table)})
+        reports.append(RelationReport(family, max_n, checked, tuple(failures)))
+    return reports
 
 
 def apply_generator_word(form, gens):

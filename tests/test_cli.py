@@ -7,7 +7,7 @@ import pytest
 from helpers import finmap_payload, random_sector_form, reference_dumps
 from sectorforms import cli
 from sectorforms.cli import build_parser, main
-from sectorforms.fincard import FinMap
+from sectorforms.fincard import FinMap, Generator, GenWord, eval_word
 from sectorforms.jsonio import dumps, sectorform_to_dict
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import SectorForm, exterior_derivative, line_one_form
@@ -120,6 +120,39 @@ class TestFactor:
         assert payload["error"] == "bad-output" and str(target) in payload["detail"]
         assert err.startswith("error: ") and err.count("\n") == 1
         assert opened.count(str(target)) == 1 and not target.exists()
+
+    # a 2.9 KB file whose full factorization has 360,600 generators
+    WIDE = {"dom": 600, "cod": 1200, "table": list(range(1, 601))}
+
+    @pytest.mark.parametrize("cap", [None, "600", "1199"])
+    def test_cap_guard(self, tmp_path, capsys, monkeypatch, cap):
+        def never(f):
+            raise AssertionError("factored past the guard")
+
+        monkeypatch.setattr(cli, "factor_map", never)
+        path = write_json(tmp_path, "wide.json", self.WIDE)
+        code, payload, _ = run(capsys, "factor", "--in", path,
+                               *(("--cap-n", cap) if cap else ()))
+        assert code == 3
+        assert payload["error"] == "resource-guard"
+        assert payload["detail"].startswith("dom=600" if cap is None else "cod=1200")
+
+    def test_cap_override(self, tmp_path, capsys):
+        path = write_json(tmp_path, "wide.json", self.WIDE)
+        out = tmp_path / "word.json"
+        code, _, err = run(capsys, "factor", "--in", path, "--cap-n", "1200", "--out", str(out))
+        assert code == 0
+        assert err == "factored 600->1200 map into 360600 generators\n"
+        assert out.read_text().startswith('{\n  "dom": 600,\n  "cod": 1200,\n  "gens": [')
+
+    def test_at_default_cap(self, tmp_path, capsys):
+        table = list(range(64, 0, -1))
+        path = write_json(tmp_path, "rev.json", {"dom": 64, "cod": 64, "table": table})
+        code, payload, _ = run(capsys, "factor", "--in", path)
+        assert code == 0
+        assert (payload["dom"], payload["cod"]) == (64, 64)
+        gens = tuple(Generator(g["kind"], g["n"], g["i"]) for g in payload["gens"])
+        assert eval_word(GenWord(64, 64, gens)) == FinMap(64, 64, tuple(table))
 
 
 @pytest.mark.parametrize("command", ("factor", "derive", "apply"))

@@ -35,20 +35,26 @@ def test_demo_runs(path):
         assert lines == [rest]
 
 
-def public_definitions(path):
-    """(qualified name, bare name) of each public module-level function and
-    class of a file, and of each public method of those classes."""
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(path):
+    """(qualified name, bare name) of each module-level function and class of
+    a file, public or private, and of each method of those classes; dunders
+    are left out, since Python calls them."""
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not is_dunder(node.name):
             yield f"{path.stem}.{node.name}", node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name
 
 
 def test_every_public_definition_has_a_caller():
     # a name or attribute read anywhere in src/ or the demos counts as a use;
-    # imports and string literals do not
+    # imports and string literals do not.  Private definitions are held to
+    # the same rule: one that only tests call belongs in tests/helpers.py.
     used = set()
     for path in SOURCES + DEMOS:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -56,6 +62,6 @@ def test_every_public_definition_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-    uncalled = {qual for path in SOURCES for qual, name in public_definitions(path)
+    uncalled = {qual for path in SOURCES for qual, name in definitions(path)
                 if name not in used}
     assert uncalled == CALLED_FROM_OUTSIDE

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_maps, all_surjections, sigma_cycle_word
+from helpers import all_maps, all_surjections, reference_check_relations, sigma_cycle_word
 from sectorforms.fincard import (
     DELTA,
     EPSILON,
@@ -25,6 +25,7 @@ from sectorforms.fincard import (
     monoidal_sum,
     probe_surjection,
     sigma_cycle,
+    _relation_instances,
 )
 
 
@@ -348,6 +349,35 @@ class TestFactorMap:
         assert eval_word(word) == f
 
 
+def corrupt_epsilon_3_2(g):
+    """Swaps the first two entries of epsilon(3, 2)."""
+    m = generator_map(g)
+    if g.kind == EPSILON and g.n == 3 and g.i == 2:
+        t = list(m.table)
+        t[0], t[1] = t[1], t[0]
+        return FinMap(m.dom, m.cod, tuple(t))
+    return m
+
+
+def sigma_as_identity(g):
+    m = generator_map(g)
+    return identity(m.dom) if g.kind == SIGMA else m
+
+
+def epsilon_as_identity(g):
+    """Every codegeneracy keeps its domain, so words stop composing."""
+    m = generator_map(g)
+    return identity(m.dom) if g.kind == EPSILON else m
+
+
+def corrupt_delta_top(g):
+    """delta at its top index n + 1 skips the value n instead."""
+    m = generator_map(g)
+    if g.kind == DELTA and g.n >= 1 and g.i == g.n + 1:
+        return FinMap(m.dom, m.cod, tuple(range(1, g.n)) + (g.n + 1,))
+    return m
+
+
 class TestRelations:
     def test_moore_families_small(self):
         for rep in check_relations(2, families=("moore-involution", "moore-braid", "moore-commute")):
@@ -361,42 +391,54 @@ class TestRelations:
             assert rep.checked > 0
 
     def test_mutated_epsilon_detected(self):
-        def corrupt(g):
-            m = generator_map(g)
-            if g.kind == EPSILON and g.n == 3 and g.i == 2:
-                t = list(m.table)
-                t[0], t[1] = t[1], t[0]
-                return FinMap(m.dom, m.cod, tuple(t))
-            return m
-
-        reports = check_relations(4, realize=corrupt)
+        reports = check_relations(4, realize=corrupt_epsilon_3_2)
         assert any(not r.ok for r in reports)
 
     def test_reports_accumulate_failures(self):
-        def corrupt(g):
-            m = generator_map(g)
-            if g.kind == SIGMA:
-                return identity(m.dom)
-            return m
-
         # sigma |-> identity still satisfies sigma;sigma = 1 ...
-        (involution,) = check_relations(4, families=("moore-involution",), realize=corrupt)
+        (involution,) = check_relations(4, families=("moore-involution",),
+                                        realize=sigma_as_identity)
         assert involution.ok
         # ... but breaks the codegeneracy-symmetry family in many places at once
-        (rep,) = check_relations(4, families=("codegeneracy-symmetry",), realize=corrupt)
+        (rep,) = check_relations(4, families=("codegeneracy-symmetry",),
+                                 realize=sigma_as_identity)
         assert len(rep.failures) > 1
 
     def test_wrong_arity_is_a_failure(self):
-        def corrupt(g):
-            m = generator_map(g)
-            return identity(m.dom) if g.kind == EPSILON else m
-
-        reports = {r.family: r for r in check_relations(3, realize=corrupt)}
+        reports = {r.family: r for r in check_relations(3, realize=epsilon_as_identity)}
         rep = reports["pure-codegeneracy"]
         assert len(rep.failures) == rep.checked == 10
         assert rep.failures[0]["error"] == "cod 3 != dom 2"
         assert all("error" in f for f in rep.failures)
         assert reports["pure-coface"].ok
+
+    def test_corrupt_top_coface_detected(self):
+        # delta_{n+1} read as delta_n still satisfies the pure coface relations
+        failed = {r.family for r in check_relations(3, realize=corrupt_delta_top) if not r.ok}
+        assert failed == {"coface-codegeneracy", "coface-symmetry"}
+
+    @pytest.mark.parametrize("max_n", range(2, 9))
+    @pytest.mark.parametrize("realize", [generator_map, corrupt_epsilon_3_2, sigma_as_identity,
+                                         epsilon_as_identity, corrupt_delta_top],
+                             ids=lambda f: f.__name__)
+    def test_matches_reference(self, realize, max_n):
+        reports = check_relations(max_n, realize=realize)
+        assert reports == reference_check_relations(max_n, realize=realize)
+        assert all(r.ok for r in reports) == (realize is generator_map)
+
+    def test_realizes_each_generator_once(self):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return generator_map(g)
+
+        check_relations(6, realize=counting)
+        named = {Generator(*k) for family in RELATION_FAMILIES
+                 for _, lhs, rhs in _relation_instances(family, 6)
+                 for k in lhs + (() if isinstance(rhs, int) else rhs)}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == named
 
     def test_bound_too_small(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sectorforms.poly import Poly, PolyMap, compose, coordinate_map, identity_map, zero_map
 from sectorforms.sector import coface, exterior_derivative
@@ -228,6 +230,79 @@ class TestPolyMap:
         point = PolyMap(0, 2, (Poly.const(0, 3), Poly.const(0, 5)))
         through = compose(zero_map(2, 0), point)
         assert through((F(9), F(9))) == (F(3), F(5))
+
+
+@st.composite
+def polymaps(draw, dom_dim, cod_dim):
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exps = st.tuples(*[st.integers(0, 2)] * dom_dim)
+    return PolyMap(dom_dim, cod_dim, tuple(
+        Poly(dom_dim, draw(st.dictionaries(exps, coeffs, max_size=3)))
+        for _ in range(cod_dim)))
+
+
+def not_coordinates(b):
+    """Components of a map out of R^b that `compose` must not read as coordinates."""
+    out = [Poly.const(b, 1), Poly.const(b, F(1, 2))]
+    for j in range(b):
+        x = Poly.var(b, j)
+        out += [x.scale(2), x.scale(-1), x * x, x + Poly.const(b, 1)]
+        out += [x + Poly.var(b, k) for k in range(j + 1, b)]
+    return out
+
+
+@st.composite
+def coordinate_cases(draw, coordinates_only):
+    """(f, g): a random f: R^a -> R^b and a map g out of R^b whose components are
+    0 or a variable, repeats allowed, or, unless coordinates_only, a mix of
+    those and `not_coordinates(b)`."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    f = draw(polymaps(a, b))
+    assignment = draw(st.lists(st.one_of(st.none(), st.integers(0, b - 1)) if b else st.none(),
+                               max_size=5))
+    comps = list(coordinate_map(b, assignment).components)
+    if not coordinates_only:
+        comps += draw(st.lists(st.sampled_from(not_coordinates(b)), min_size=1, max_size=3))
+        comps = draw(st.permutations(comps))
+    return f, PolyMap(b, len(comps), tuple(comps))
+
+
+def term_dicts(h):
+    return [dict(p.terms) for p in h.components]
+
+
+class TestPickPath:
+    """`compose(f, g)` picks components of f when g is a coordinate map."""
+
+    @given(coordinate_cases(coordinates_only=True))
+    def test_coordinate_map_picks_components(self, case):
+        f, g = case
+        before = term_dicts(f), term_dicts(g)
+        h = compose(f, g)
+        assert h.components == tuple(reference_subs(p, f.components, f.dom_dim)
+                                     for p in g.components)
+        for p, out in zip(g.components, h.components):
+            if p.terms:
+                (exp, _), = p.terms.items()
+                assert out is f.components[exp.index(1)]
+        assert (term_dicts(f), term_dicts(g)) == before
+
+    @given(coordinate_cases(coordinates_only=False))
+    def test_other_components_are_substituted(self, case):
+        f, g = case
+        before = term_dicts(f), term_dicts(g)
+        h = compose(f, g)
+        assert h.components == tuple(reference_subs(p, f.components, f.dom_dim)
+                                     for p in g.components)
+        assert (term_dicts(f), term_dicts(g)) == before
+
+    @pytest.mark.parametrize("p", not_coordinates(2), ids=repr)
+    def test_not_a_coordinate(self, p):
+        # f = (y + 1, y^2): every component of g above changes f's images
+        y = Poly.var(1, 0)
+        f = PolyMap(1, 2, (y + Poly.const(1, 1), y * y))
+        g = PolyMap(2, 2, (Poly.var(2, 0), p))
+        assert compose(f, g).components[1] == reference_subs(p, f.components, 1)
 
 
 class TestBuiltPolynomials:

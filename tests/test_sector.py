@@ -26,6 +26,7 @@ from sectorforms.fincard import (
     EPSILON,
     SIGMA,
     FinMap,
+    Generator,
     compose as fc_compose,
     factor_map,
     identity,
@@ -614,6 +615,9 @@ class TestCosimplicialIdentities:
     def test_relations_transport_to_operators(self, family):
         rng = random.Random(hash(family) % 10_000)
         for params, lhs, rhs in _relation_instances(family, 2):
+            lhs = tuple(Generator(*k) for k in lhs)
+            if not isinstance(rhs, int):
+                rhs = tuple(Generator(*k) for k in rhs)
             dom = lhs[0].map_dom if lhs else rhs
             if dom > 3:
                 continue
