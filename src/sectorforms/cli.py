@@ -24,7 +24,8 @@ from . import jsonio
 from .cohomology import SizeError, complex_report, sector_basis
 from .fincard import check_relations, classify, factor_map, factor_surjection
 from .jsonio import InputFormatError, JsonSyntaxError
-from .sector import apply_cardinal_map, coface, exterior_derivative, multilinearity_failures
+from .sector import (SectorForm, apply_cardinal_map, coface, exterior_derivative,
+                     multilinearity_failures)
 from .tangent import verify_tangent_axioms
 
 EXIT_OK = 0
@@ -43,9 +44,10 @@ class CommandError(Exception):
         self.status = status
 
 
-def _emit(payload: dict, out_path: str | None, summary: str, status: int) -> int:
+def _emit(payload: dict | SectorForm, out_path: str | None, summary: str, status: int) -> int:
     """Write the report and its summary; returns status, or the input-error
-    status after reporting on stdout that out_path cannot be written."""
+    status after reporting on stdout that out_path cannot be written.
+    Forms go to `jsonio.dumps` as they are, which writes their wire format."""
     text = jsonio.dumps(payload)
     if out_path:
         try:
@@ -64,7 +66,7 @@ def _emit(payload: dict, out_path: str | None, summary: str, status: int) -> int
 # the least legal value of each numeric argument, by its dest name
 _FLOORS = {"max_n": 2, "dim": 1, "depth": 1, "deg": 0, "levels": 0, "n": 0,
            "cap_n": 0, "cap_dim": 0, "cap_depth": 0, "cap_deg": 0, "cap_levels": 0,
-           "max_candidates": 0}
+           "max_candidates": 0, "max_entries": 0}
 
 
 def _check_ranges(args) -> None:
@@ -80,6 +82,18 @@ def _guard(value: int, cap: int, what: str) -> None:
         raise CommandError("resource-guard",
                            f"{what}={value} exceeds the cap of {cap}; raise the cap explicitly",
                            EXIT_GUARD)
+
+
+def _guard_output(form: SectorForm, degree: int, args) -> None:
+    """Bound an operator's output before it is built: its degree by
+    --cap-n, and its input terms times the m << degree exponent entries of
+    each output tuple by --max-entries.  A zero form is answered at once,
+    whatever its degree."""
+    if form.is_zero:
+        return
+    _guard(degree, args.cap_n, "output degree")
+    terms = sum(len(comp.terms) for comp in form.body.components)
+    _guard(terms * (form.m << degree), args.max_entries, "terms x exponent entries")
 
 
 def _load_form(path: str):
@@ -138,23 +152,24 @@ def _cmd_apply(args) -> int:
     if fmap.dom != form.n:
         raise CommandError("dimension-mismatch",
                            f"map leaves cardinal {fmap.dom}, form has degree {form.n}")
+    _guard_output(form, fmap.cod, args)
     result = apply_cardinal_map(form, fmap, validate=False)
-    return _emit(jsonio.sectorform_to_dict(result), args.out,
+    return _emit(result, args.out,
                  f"degree {form.n} -> {result.n} along {list(fmap.table)}", EXIT_OK)
 
 
 def _cmd_derive(args) -> int:
     form = _load_form(args.form)
+    if args.position is not None and not 1 <= args.position <= form.n + 1:
+        raise CommandError("dimension-mismatch", f"position must lie in 1..{form.n + 1}")
+    _guard_output(form, form.n + 1, args)
     if args.position is not None:
-        if not 1 <= args.position <= form.n + 1:
-            raise CommandError("dimension-mismatch",
-                               f"position must lie in 1..{form.n + 1}")
         result = coface(form, args.position, validate=False)
         what = f"derivative in position {args.position}"
     else:
         result = exterior_derivative(form, validate=False)
         what = "exterior derivative"
-    return _emit(jsonio.sectorform_to_dict(result), args.out,
+    return _emit(result, args.out,
                  f"{what}: degree {form.n} -> {result.n}"
                  + (", zero form" if result.is_zero else ""), EXIT_OK)
 
@@ -185,7 +200,7 @@ def _cmd_sector_basis(args) -> int:
     payload = {
         "n": args.n, "m": args.dim, "d": args.deg,
         "dimension": len(basis),
-        "basis": [jsonio.sectorform_to_dict(b) for b in basis],
+        "basis": basis,
     }
     return _emit(payload, args.out,
                  f"sector {args.n}-forms on R^{args.dim} at degree {args.deg}: "
@@ -227,12 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="act on a sector form by a map of cardinals")
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--map", required=True, help="FinMap JSON file")
+    p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
+    p.add_argument("--max-entries", type=int, default=1 << 20, dest="max_entries")
     common(p)
     p.set_defaults(fn=_cmd_apply)
 
     p = sub.add_parser("derive", help="coface or full exterior derivative")
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--position", type=int, default=None)
+    p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
+    p.add_argument("--max-entries", type=int, default=1 << 20, dest="max_entries")
     common(p)
     p.set_defaults(fn=_cmd_derive)
 

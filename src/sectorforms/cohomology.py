@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 from .linalg import rank
-from .poly import Poly, PolyMap
+from .poly import _ONE, Poly, PolyMap
 from .sector import SectorForm, exterior_derivative
 
 
@@ -80,7 +80,7 @@ def sector_candidates(n: int, m: int, d: int) -> list[Poly]:
             exp = list(base) + [0] * (size - m)
             for flat in shape:
                 exp[flat] = 1
-            candidates.append(Poly.monomial(size, exp))
+            candidates.append(Poly._from_terms(size, {tuple(exp): _ONE}))
     return candidates
 
 
@@ -191,17 +191,21 @@ class ComplexReport:
 def _rank_and_kernel(basis: list[SectorForm], derived: dict) -> tuple[int, int, bool]:
     """(rank of the boundary on this basis, kernel dim, boundary-squared-zero).
 
-    ``derived`` maps each form already seen to (its d as a vector, d∘d is
-    zero), so a form shared between bases is differentiated once.
+    ``derived`` maps the terms of each scalar form already seen, as a
+    tuple of (exponent, coefficient) pairs, to (its d as a vector, d∘d is
+    zero), so a form shared between bases is differentiated once; the key
+    hashes far less than the frozen `SectorForm` does.
     """
     vectors = []
     square_zero = True
     for form in basis:
-        if form not in derived:
+        key = tuple(form.body.components[0].terms.items())
+        seen = derived.get(key)
+        if seen is None:
             dform = exterior_derivative(form, validate=False)
-            derived[form] = (_body_vector(dform),
-                             exterior_derivative(dform, validate=False).is_zero)
-        vector, ok = derived[form]
+            seen = derived[key] = (_body_vector(dform),
+                                   exterior_derivative(dform, validate=False).is_zero)
+        vector, ok = seen
         vectors.append(vector)
         square_zero = square_zero and ok
     r = rank([v for v in vectors if v])
@@ -225,7 +229,7 @@ def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> C
     alt_d = [singular_basis(nu, m, d, max_candidates) for nu in range(n_max + 1)]
     alt_up = [singular_basis(nu, m, d + 1, max_candidates) for nu in range(n_max)]
 
-    derived: dict[SectorForm, tuple[dict, bool]] = {}
+    derived: dict[tuple, tuple[dict, bool]] = {}
     verified = True
     dims, kernels, ranks, raised = [], [], [], []
     s_dims, s_kernels, s_ranks, s_raised = [], [], [], []

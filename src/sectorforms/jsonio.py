@@ -11,12 +11,16 @@ sorted by exponent, arbitrary-precision integers as decimal strings.
 * PolyMap     {"dom": a, "cod": b, "components": [Poly, ...]}
 * SectorForm  {"n": ..., "m": ..., "k": ..., "body": PolyMap}
 * ComplexReport: a flat object of integer rank lists.
+
+`dumps` takes a `SectorForm` anywhere in a payload and writes it exactly
+as `sectorform_to_dict` would render it, straight from its term dicts.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .cohomology import ComplexReport
@@ -33,13 +37,15 @@ class JsonSyntaxError(InputFormatError):
     """The file is not JSON at all."""
 
 
-def dumps(payload: dict) -> str:
+def dumps(payload) -> str:
     """Canonical rendering: fixed field order, two-space indent, one trailing
     newline, so identical requests give byte-identical reports.
 
-    The bytes are those of ``json.dumps(payload, indent=2) + "\n"``; they
-    are written directly, since `json` renders an indented document with
-    its pure-Python encoder.
+    The bytes are those of ``json.dumps(payload, indent=2) + "\n"`` with
+    each `SectorForm` in the payload replaced by its `sectorform_to_dict`;
+    they are written directly, since `json` renders an indented document
+    with its pure-Python encoder, and a form is written from its term
+    dicts without building that dict.
     """
     return _render(payload, "\n") + "\n"
 
@@ -52,6 +58,8 @@ def _render(value, nl: str) -> str:
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is SectorForm:
+        return _render_form(value, nl)
     inner = nl + "  "
     if kind is list and value:
         if set(map(type, value)) == {int}:  # exponent tuples: one join in C
@@ -62,7 +70,56 @@ def _render(value, nl: str) -> str:
             [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in value.items()]
         ) + nl + "}"
     # bool, None, floats, tuples, empty containers, other keys, subclasses
-    return json.dumps(value, indent=2).replace("\n", nl)
+    return json.dumps(value, indent=2, default=_form_dict).replace("\n", nl)
+
+
+def _form_dict(value) -> dict:
+    """The `json` fallback for a `SectorForm` inside a container `_render`
+    hands to `json` whole (a tuple, a dict with non-string keys)."""
+    if type(value) is not SectorForm:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return sectorform_to_dict(value)
+
+
+@lru_cache(maxsize=64)
+def _form_layout(n: int, m: int, k: int, dom: int, cod: int, nl: str) -> tuple[str, ...]:
+    """The fixed text of `sectorform_to_dict` of a form, rendered at line
+    break nl, around its exponents and coefficient strings: (head, the
+    opening of a component, of its terms, of a term, exponent separator,
+    before num, before den, the end of a term, term separator, the end of
+    the terms, the end of a component, component separator, tail)."""
+    i1, i2, i3, i4, i5, i6, i7 = (nl + "  " * depth for depth in range(1, 8))
+    return ("{" + i1 + f'"n": {n},' + i1 + f'"m": {m},' + i1 + f'"k": {k},' + i1 + '"body": {'
+            + i2 + f'"dom": {dom},' + i2 + f'"cod": {cod},' + i2 + '"components": [' + i3,
+            "{" + i4 + f'"vars": {dom},' + i4 + '"terms": ',
+            "[" + i5,
+            "{" + i6 + '"exp": [' + i7,
+            "," + i7,
+            i6 + "]," + i6 + '"num": "',
+            '",' + i6 + '"den": "',
+            '"' + i5 + "}",
+            "," + i5,
+            i4 + "]",
+            i3 + "}",
+            "," + i3,
+            i2 + "]" + i1 + "}" + nl + "}")
+
+
+def _render_form(w: SectorForm, nl: str) -> str:
+    """`_render` of ``sectorform_to_dict(w)``, written from the term dicts:
+    terms sorted by exponent, one join per exponent tuple."""
+    body = w.body
+    layout = _form_layout(w.n, w.m, w.k, body.dom_dim, body.cod_dim, nl)
+    (head, component, terms_open, term, sep, num, den, term_end, terms_sep, terms_end,
+     component_end, components_sep, tail) = layout
+    comps = []
+    for comp in body.components:
+        texts = [term + sep.join(map(int.__repr__, exp)) + num + str(c.numerator)
+                 + den + str(c.denominator) + term_end
+                 for exp, c in sorted(comp.terms.items())]  # exponents are distinct
+        terms = terms_open + terms_sep.join(texts) + terms_end if texts else "[]"
+        comps.append(component + terms + component_end)
+    return head + components_sep.join(comps) + tail
 
 
 def _expect(payload, key, kind):

@@ -74,10 +74,6 @@ class Poly:
         exp[j] = 1
         return cls._from_terms(nvars, {tuple(exp): _ONE})
 
-    @classmethod
-    def monomial(cls, nvars: int, exp: Exponent, c: Rat = 1) -> "Poly":
-        return cls(nvars, {tuple(exp): c})
-
     # -- structure ---------------------------------------------------
 
     @property

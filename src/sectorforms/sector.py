@@ -34,7 +34,10 @@ singular forms; they are closed under the exterior derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from math import lcm
+from operator import itemgetter
 
 from .fincard import EPSILON, SIGMA, FinMap, Generator, generator_map, sigma_cycle, split_map
 from .poly import Poly, PolyMap, zero_map
@@ -161,6 +164,19 @@ def _coface_table(m: int, n: int, i: int) -> tuple[int, ...]:
     return tuple(_flat_sources(m, _surjection_sources(sigma_cycle(n, i))))
 
 
+@cache
+def _coface_reader(m: int, n: int, i: int) -> itemgetter:
+    """Reads the coface at i off a fundamental-derivative exponent list:
+    the flip-cycle table at i is a permutation of the flat indices, and
+    the reader picks, for each output index, the entry its inverse names.
+    Degree n >= 1 gives at least two indices, so the reader returns a tuple."""
+    table = _coface_table(m, n, i)
+    inverse = [0] * len(table)
+    for flat, to in enumerate(table):
+        inverse[to] = flat
+    return itemgetter(*inverse)
+
+
 def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     """The sum of signs[i] * coface(omega, i), signs +-1, on exponent tuples.
 
@@ -169,32 +185,37 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     half = m << omega.n; the coface at i then moves the exponent at flat
     index mask*m + j to src[mask]*m + j, src the flip-cycle table at i.
     The tables are built only when some term's exponent bounds their size.
+
+    Common-denominator rule: every coefficient of a component is written
+    as a/D over D, the lcm of that component's denominators, and the
+    terms are summed on the integer numerators a * e_v; each nonzero sum
+    s becomes one `Fraction(s, D)`, which is in lowest terms.
     """
     if omega.is_zero:
         return SectorForm.zero(omega.n + 1, omega.m, omega.k)
     m, n = omega.m, omega.n + 1
     half, size = m << omega.n, m << n
-    moves = [(sign > 0, _coface_table(m, n, i)) for i, sign in signs.items()]
+    moves = [(sign > 0, _coface_reader(m, n, i)) for i, sign in signs.items()]
+    padding = [0] * half
     components = []
     for comp in omega.body.components:
-        terms = {}
+        den = lcm(*[c.denominator for c in comp.terms.values()])
+        sums = {}
         for exp, c in comp.terms.items():
-            support = [(v, e) for v, e in enumerate(exp) if e]
-            for pos, (v, e) in enumerate(support):
-                shifted = support[:pos] + support[pos + 1:] + [(v + half, 1)]
-                if e > 1:
-                    shifted.append((v, e - 1))
-                plus = c * e if e > 1 else c
-                minus = -plus
-                for positive, where in moves:
-                    out = [0] * size
-                    for flat, power in shifted:
-                        out[where[flat]] = power
-                    key = tuple(out)
-                    value = plus if positive else minus
-                    old = terms.get(key)
-                    terms[key] = value if old is None else old + value
-        components.append(Poly._from_terms(size, {e: c for e, c in terms.items() if c}))
+            a = c.numerator * (den // c.denominator)
+            for v, e in enumerate(exp):
+                if not e:
+                    continue
+                derived = list(exp)
+                derived += padding
+                derived[v] = e - 1
+                derived[v + half] = 1
+                plus = a * e
+                for positive, read in moves:
+                    key = read(derived)
+                    sums[key] = sums.get(key, 0) + (plus if positive else -plus)
+        components.append(Poly._from_terms(size, {e: Fraction(s, den)
+                                                  for e, s in sums.items() if s}))
     return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
 
 

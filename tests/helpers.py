@@ -21,6 +21,7 @@ from sectorforms.fincard import (
     identity,
 )
 from sectorforms.cohomology import _body_vector
+from sectorforms.jsonio import sectorform_to_dict
 from sectorforms.linalg import rank, rref
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
 from sectorforms.sector import (
@@ -42,8 +43,21 @@ from sectorforms.tangent import (
 
 
 def reference_dumps(payload):
-    """The canonical report bytes as `json` writes them: the oracle of `jsonio.dumps`."""
-    return json.dumps(payload, indent=2) + "\n"
+    """The canonical report bytes as `json` writes them, each `SectorForm`
+    passed through `sectorform_to_dict` first: the oracle of `jsonio.dumps`."""
+    return json.dumps(forms_as_dicts(payload), indent=2) + "\n"
+
+
+def forms_as_dicts(value):
+    """value with every `SectorForm` in it, at any depth, replaced by its
+    `sectorform_to_dict`; tuples become lists, which `json` writes alike."""
+    if isinstance(value, SectorForm):
+        return sectorform_to_dict(value)
+    if isinstance(value, (list, tuple)):
+        return [forms_as_dicts(v) for v in value]
+    if isinstance(value, dict):
+        return {k: forms_as_dicts(v) for k, v in value.items()}
+    return value
 
 
 def finmap_payload(f):
@@ -417,7 +431,7 @@ def reference_sector_basis(n, m, d):
     bases = [e for e in product(range(d + 1), repeat=m) if sum(e) <= d]
     candidates = []
     for exps in bases:
-        base = Poly.monomial(size, exps + (0,) * (size - m))
+        base = Poly(size, {exps + (0,) * (size - m): 1})
         for picks in product(range(m + 1), repeat=(1 << n) - 1):
             term = base
             for mask, pick in enumerate(picks, start=1):

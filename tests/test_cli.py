@@ -276,6 +276,66 @@ class TestApplyAndDerive:
         assert payload["error"] == "invalid-form"
 
 
+def top_level_form(n, m=1):
+    """The one-term sector n-form on R^m whose single block holds every level."""
+    size = m << n
+    return SectorForm(n, m, 1, PolyMap(size, 1, (Poly.var(size, size - m),)))
+
+
+class TestOutputGuard:
+    """`apply` and `derive` bound the output degree and the output's
+    exponent entries before any operator runs."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an operator ran past the guard")
+        for name in ("apply_cardinal_map", "coface", "exterior_derivative"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def test_small_map_cannot_buy_a_huge_form(self, tmp_path, capsys, no_work):
+        # 50 bytes of map asked the parent for 2**16 exponent entries per term
+        form = write_json(tmp_path, "form.json", line_one_form(Poly.var(1, 0)))
+        fmap = write_json(tmp_path, "map.json", {"dom": 1, "cod": 16, "table": [1]})
+        code, payload, err = run(capsys, "apply", "--form", form, "--map", fmap)
+        assert code == 3 and payload["error"] == "resource-guard"
+        assert "output degree=16" in payload["detail"] and err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", [(), ("--position", "3")], ids=["d", "position"])
+    def test_derive_past_the_degree_cap(self, tmp_path, capsys, no_work, extra):
+        form = write_json(tmp_path, "form.json", top_level_form(7))
+        code, payload, _ = run(capsys, "derive", "--form", form, *extra)
+        assert code == 3 and payload["error"] == "resource-guard"
+
+    def test_entries_cap(self, tmp_path, capsys, no_work):
+        # two terms, each written with 2 << 3 = 16 exponent entries at degree 3
+        body = Poly.var(8, 6) + Poly.var(8, 7)  # (1, {1, 2}) + (2, {1, 2}) on R^2
+        form = write_json(tmp_path, "form.json", SectorForm(2, 2, 1, PolyMap(8, 1, (body,))))
+        code, payload, _ = run(capsys, "derive", "--form", form, "--max-entries", "31")
+        assert code == 3 and "terms x exponent entries=32" in payload["detail"]
+
+    def test_raised_caps_answer(self, tmp_path, capsys):
+        form = write_json(tmp_path, "form.json", top_level_form(7))
+        code, payload, _ = run(capsys, "derive", "--form", form, "--cap-n", "8")
+        assert code == 0 and payload["n"] == 8
+        form = write_json(tmp_path, "one.json", line_one_form(Poly.var(1, 0)))
+        fmap = write_json(tmp_path, "map.json", {"dom": 1, "cod": 8, "table": [1]})
+        code, payload, _ = run(capsys, "apply", "--form", form, "--map", fmap,
+                               "--cap-n", "8", "--max-entries", "256")
+        assert code == 0 and payload["n"] == 8
+
+    @pytest.mark.parametrize("n,m", [(6, 1), (5, 2)])
+    def test_defaults_answer_the_largest_calculus_shapes(self, tmp_path, capsys, n, m):
+        w = random_sector_form(random.Random(n), n, m, 3, nterms=6)
+        form = write_json(tmp_path, "form.json", w)
+        identity = write_json(tmp_path, "map.json",
+                              finmap_payload(FinMap(n, n, tuple(range(1, n + 1)))))
+        for argv in (("derive", "--form", form), ("derive", "--form", form, "--position", "1"),
+                     ("apply", "--form", form, "--map", identity)):
+            code, payload, _ = run(capsys, *argv)
+            assert code == 0 and "error" not in payload, argv
+
+
 class TestDerham:
     def test_line_cohomology(self, capsys):
         code, payload, err = run(capsys, "derham", "--dim", "1", "--deg", "4", "--levels", "2")
@@ -348,6 +408,9 @@ class TestSectorBasisCommand:
     (("sector-basis", "--n", "-1", "--dim", "1", "--deg", "0"), "sector_basis"),
     (("sector-basis", "--n", "1", "--dim", "1", "--deg", "0", "--max-candidates", "-5"),
      "sector_basis"),
+    (("derive", "--form", "form.json", "--cap-n", "-1"), "exterior_derivative"),
+    (("apply", "--form", "form.json", "--map", "map.json", "--max-entries", "-1"),
+     "apply_cardinal_map"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_out_of_range_argument_is_bad_argument(capsys, monkeypatch, argv, work):
     def no_work(*args):

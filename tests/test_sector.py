@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from itertools import combinations_with_replacement
 
 import pytest
@@ -121,7 +122,7 @@ class TestIsSectorForm:
                     exp = [0] * size
                     for flat in flats:
                         exp[flat] += 1
-                    body = PolyMap(size, 1, (Poly.monomial(size, tuple(exp), F(3, 2)),))
+                    body = PolyMap(size, 1, (Poly(size, {tuple(exp): F(3, 2)}),))
                     w = SectorForm(n, m, 1, body)
                     assert multilinearity_failures(w) == reference_multilinearity_failures(w), exp
 
@@ -481,6 +482,65 @@ class TestComposeReference:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         assert apply_cardinal_map(w, f) == expect
         assert realize_surjection(u, 2) == realized
+
+
+MIXED_COEFFICIENTS = (F(1, 2), F(2, 3), F(-5, 6), F(10 ** 30, 7))
+
+
+def mixed_denominator_forms():
+    """Seeded forms whose terms cycle through the coefficients 1/2, 2/3,
+    -5/6 and 10**30/7, one or two components, and the closed 1-form
+    d((1/4)x^2 + (2/9)x^3 - (5/24)x^4) = ((1/2)x + (2/3)x^2 - (5/6)x^3) v,
+    whose own d cancels term by term."""
+    rng = random.Random(71)
+    for n, m, k in ((0, 2, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2)):
+        comps = []
+        for _ in range(k):
+            exps = list(random_sector_form(rng, n, m, 2, nterms=4).body.components[0].terms)
+            comps.append(Poly(m << n, {exp: MIXED_COEFFICIENTS[idx % 4]
+                                       for idx, exp in enumerate(exps)}))
+        yield SectorForm(n, m, k, PolyMap(m << n, k, tuple(comps)))
+    yield line_one_form(Poly(1, {(1,): F(1, 2), (2,): F(2, 3), (3,): F(-5, 6)}))
+
+
+def assert_canonical(w):
+    """Every coefficient is a nonzero Fraction in lowest terms, as
+    `Poly._from_terms` requires of its caller."""
+    for comp in w.body.components:
+        for c in comp.terms.values():
+            assert type(c) is Fraction and c != 0, c
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1, c
+
+
+class TestCommonDenominator:
+    """`_cofaces` sums integer numerators over each component's common
+    denominator and makes one Fraction per output term."""
+
+    def test_matches_reference(self):
+        for w in mixed_denominator_forms():
+            for i in range(1, w.n + 2):
+                got = coface(w, i, validate=False)
+                assert got == reference_coface(w, i), (w, i)
+                assert_canonical(got)
+            got = exterior_derivative(w, validate=False)
+            assert got == reference_exterior_derivative(w), w
+            assert_canonical(got)
+
+    def test_exact_cancellation(self):
+        # each coefficient of d(dw) is a sum of terms that cancel exactly
+        for w in mixed_denominator_forms():
+            dw = exterior_derivative(w, validate=False)
+            assert exterior_derivative(dw, validate=False).is_zero, w
+        closed = line_one_form(Poly(1, {(1,): F(1, 2), (2,): F(2, 3), (3,): F(-5, 6)}))
+        assert exterior_derivative(closed, validate=False).is_zero
+
+    def test_reduced_output(self):
+        # d((2/9)x^3 + (10**30/49)x^7) = ((2/3)x^2 + (10**30/7)x^6) v: the
+        # common denominator 441 reduces to 3 and 7
+        w = SectorForm(0, 1, 1, PolyMap(1, 1, (Poly(1, {(3,): F(2, 9), (7,): F(10 ** 30, 49)}),)))
+        got = coface(w, 1, validate=False)
+        assert sorted(got.body.components[0].terms.values()) == [F(2, 3), F(10 ** 30, 7)]
+        assert_canonical(got)
 
 
 class TestAlternating:

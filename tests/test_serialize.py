@@ -23,6 +23,7 @@ from sectorforms.jsonio import (
     sectorform_to_dict,
 )
 from sectorforms.poly import Poly, PolyMap
+from sectorforms.sector import SectorForm
 
 F = Fraction
 
@@ -149,6 +150,52 @@ payloads = st.recursive(
     max_leaves=20)
 
 
+# coefficients the writer must spell out: signs, non-integral values,
+# and numerators and denominators past 64 bits
+coefficients = st.builds(F, st.one_of(st.integers(-5, 5), st.sampled_from([10 ** 40, -10 ** 40])),
+                         st.sampled_from([1, 2, 3, 7, 10 ** 40]))
+
+
+@st.composite
+def sector_forms(draw):
+    """Forms of degree 0..2 on R^1 or R^2 with k = 1 or 2 components, each
+    of up to three terms, zero forms among them; the writer does not look
+    at the linearity equations, so the exponents are arbitrary."""
+    n, m, k = draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    size = m << n
+    exps = st.lists(st.integers(0, 3), min_size=size, max_size=size).map(tuple)
+    comps = tuple(Poly(size, draw(st.dictionaries(exps, coefficients, max_size=3)))
+                  for _ in range(k))
+    return SectorForm(n, m, k, PolyMap(size, k, comps))
+
+
+# forms anywhere in a payload: top level, in lists and in dicts, also in
+# the tuples and non-string-keyed dicts that `dumps` hands to `json`
+form_payloads = st.recursive(
+    st.one_of(scalars, int_lists, sector_forms()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(texts, inner, max_size=3),
+                            st.dictionaries(keys, inner, max_size=3)),
+    max_leaves=6)
+
+
+def basis_payload(forms):
+    """The `sector-basis` report shape: forms in a list at depth 2."""
+    return {"n": 1, "m": 1, "d": 0, "dimension": len(forms), "basis": forms}
+
+
+HALF_X = Poly(2, {(1, 1): F(1, 2)})
+EDGE_FORMS = {
+    "k1": SectorForm(1, 1, 1, PolyMap(2, 1, (Poly(2, {(2, 1): F(-3), (0, 1): F(2, 3)}),))),
+    "k2": SectorForm(1, 1, 2, PolyMap(2, 2, (HALF_X, Poly(2, {(0, 1): F(-5, 6)})))),
+    "zero": SectorForm.zero(2, 2, 2),
+    "zero-component": SectorForm(1, 1, 2, PolyMap(2, 2, (Poly.zero(2), HALF_X))),
+    "degree-0": SectorForm(0, 2, 1, PolyMap(2, 1, (Poly(2, {(0, 0): F(7), (3, 1): F(1)}),))),
+    "huge": SectorForm(1, 1, 1, PolyMap(2, 1, (Poly(2, {(0, 1): F(-10 ** 40, 10 ** 40 + 1)}),))),
+}
+
+
 class TestCanonicalWriter:
     """`dumps` writes its bytes directly; they must be `json`'s."""
 
@@ -164,3 +211,14 @@ class TestCanonicalWriter:
             "huge-ints", "escapes", "floats"])
     def test_equals_json_on_edge_cases(self, payload):
         assert dumps(payload) == reference_dumps(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(form_payloads)
+    def test_forms_in_payloads_equal_their_dicts(self, payload):
+        assert dumps(payload) == reference_dumps(payload)
+
+    @pytest.mark.parametrize("name", EDGE_FORMS)
+    def test_form_equals_its_dict(self, name):
+        w = EDGE_FORMS[name]
+        for payload in (w, [w], basis_payload([w, w]), {"x": [[w]]}, (w,), {1: w}):
+            assert dumps(payload) == reference_dumps(payload)
