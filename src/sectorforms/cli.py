@@ -66,7 +66,7 @@ def _emit(payload: dict | SectorForm, out_path: str | None, summary: str, status
 # the least legal value of each numeric argument, by its dest name
 _FLOORS = {"max_n": 2, "dim": 1, "depth": 1, "deg": 0, "levels": 0, "n": 0,
            "cap_n": 0, "cap_dim": 0, "cap_depth": 0, "cap_deg": 0, "cap_levels": 0,
-           "max_candidates": 0, "max_entries": 0}
+           "max_candidates": 0}
 
 
 def _check_ranges(args) -> None:
@@ -84,16 +84,26 @@ def _guard(value: int, cap: int, what: str) -> None:
                            EXIT_GUARD)
 
 
+# the most exponent entries an operator's output may hold: each input term
+# gives output tuples of m << degree entries, and the degree is at most --cap-n
+_MAX_ENTRIES = 1 << 20
+
+# the most bits of a zero output's flat dimension m << degree; at 2048 bits
+# it has at most 617 digits, under the least int-to-str limit Python allows
+_MAX_ZERO_DIM_BITS = 2048
+
+
 def _guard_output(form: SectorForm, degree: int, args) -> None:
     """Bound an operator's output before it is built: its degree by
     --cap-n, and its input terms times the m << degree exponent entries of
-    each output tuple by --max-entries.  A zero form is answered at once,
-    whatever its degree."""
+    each output tuple by `_MAX_ENTRIES`.  A zero form builds no tuple, so
+    it passes at any degree whose m << degree stays writable."""
     if form.is_zero:
+        _guard(form.m.bit_length() + degree, _MAX_ZERO_DIM_BITS, "bits of m << output degree")
         return
     _guard(degree, args.cap_n, "output degree")
     terms = sum(len(comp.terms) for comp in form.body.components)
-    _guard(terms * (form.m << degree), args.max_entries, "terms x exponent entries")
+    _guard(terms * (form.m << degree), _MAX_ENTRIES, "terms x exponent entries")
 
 
 def _load_form(path: str):
@@ -243,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--map", required=True, help="FinMap JSON file")
     p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
-    p.add_argument("--max-entries", type=int, default=1 << 20, dest="max_entries")
     common(p)
     p.set_defaults(fn=_cmd_apply)
 
@@ -251,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--position", type=int, default=None)
     p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
-    p.add_argument("--max-entries", type=int, default=1 << 20, dest="max_entries")
     common(p)
     p.set_defaults(fn=_cmd_derive)
 

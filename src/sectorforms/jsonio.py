@@ -12,8 +12,9 @@ sorted by exponent, arbitrary-precision integers as decimal strings.
 * SectorForm  {"n": ..., "m": ..., "k": ..., "body": PolyMap}
 * ComplexReport: a flat object of integer rank lists.
 
-`dumps` takes a `SectorForm` anywhere in a payload and writes it exactly
-as `sectorform_to_dict` would render it, straight from its term dicts.
+`dumps` takes a `SectorForm` at the top of a payload, in a list or as a
+value of a string-keyed dict, and writes it exactly as `sectorform_to_dict`
+would render it, straight from its term dicts.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ def dumps(payload) -> str:
     newline, so identical requests give byte-identical reports.
 
     The bytes are those of ``json.dumps(payload, indent=2) + "\n"`` with
-    each `SectorForm` in the payload replaced by its `sectorform_to_dict`;
-    they are written directly, since `json` renders an indented document
-    with its pure-Python encoder, and a form is written from its term
-    dicts without building that dict.
+    each `SectorForm` in the payload (at the top, in a list or in a
+    string-keyed dict) replaced by its `sectorform_to_dict`; they are
+    written directly, since `json` renders an indented document with its
+    pure-Python encoder, and a form is written from its term dicts
+    without building that dict.
     """
     return _render(payload, "\n") + "\n"
 
@@ -58,8 +60,6 @@ def _render(value, nl: str) -> str:
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is SectorForm:
-        return _render_form(value, nl)
     inner = nl + "  "
     if kind is list and value:
         if set(map(type, value)) == {int}:  # exponent tuples: one join in C
@@ -69,16 +69,10 @@ def _render(value, nl: str) -> str:
         return "{" + inner + ("," + inner).join(
             [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in value.items()]
         ) + nl + "}"
+    if kind is SectorForm:  # after the plain kinds, which reports hold far more of
+        return _render_form(value, nl)
     # bool, None, floats, tuples, empty containers, other keys, subclasses
-    return json.dumps(value, indent=2, default=_form_dict).replace("\n", nl)
-
-
-def _form_dict(value) -> dict:
-    """The `json` fallback for a `SectorForm` inside a container `_render`
-    hands to `json` whole (a tuple, a dict with non-string keys)."""
-    if type(value) is not SectorForm:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return sectorform_to_dict(value)
+    return json.dumps(value, indent=2).replace("\n", nl)
 
 
 @lru_cache(maxsize=64)

@@ -273,6 +273,8 @@ def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> S
         raise ValueError(f"map leaves cardinal {f.dom}, form has degree {omega.n}")
     if validate:
         _require_sector(omega)
+    if omega.is_zero:  # the cofaces would build a zero form per missing value
+        return SectorForm.zero(f.cod, omega.m, omega.k)
     surjection, missing = split_map(f)
     out = _reindex(omega, surjection)
     for v in missing:

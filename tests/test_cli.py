@@ -307,12 +307,19 @@ class TestOutputGuard:
         code, payload, _ = run(capsys, "derive", "--form", form, *extra)
         assert code == 3 and payload["error"] == "resource-guard"
 
-    def test_entries_cap(self, tmp_path, capsys, no_work):
-        # two terms, each written with 2 << 3 = 16 exponent entries at degree 3
-        body = Poly.var(8, 6) + Poly.var(8, 7)  # (1, {1, 2}) + (2, {1, 2}) on R^2
-        form = write_json(tmp_path, "form.json", SectorForm(2, 2, 1, PolyMap(8, 1, (body,))))
-        code, payload, _ = run(capsys, "derive", "--form", form, "--max-entries", "31")
-        assert code == 3 and "terms x exponent entries=32" in payload["detail"]
+    @pytest.mark.parametrize("m,passes", [(8192, True), (8193, False)])
+    def test_entries_cap(self, tmp_path, capsys, no_work, m, passes):
+        # a one-term 0-form on R^m sent to degree 7 asks for m << 7 entries
+        form = write_json(tmp_path, "form.json",
+                          SectorForm(0, m, 1, PolyMap(m, 1, (Poly.var(m, 0),))))
+        fmap = write_json(tmp_path, "map.json", {"dom": 0, "cod": 7, "table": []})
+        argv = ("apply", "--form", form, "--map", fmap)
+        if passes:  # exactly 2**20 entries: the guard lets the operator run
+            with pytest.raises(AssertionError, match="past the guard"):
+                run(capsys, *argv)
+        else:
+            code, payload, _ = run(capsys, *argv)
+            assert code == 3 and "terms x exponent entries=1048704" in payload["detail"]
 
     def test_raised_caps_answer(self, tmp_path, capsys):
         form = write_json(tmp_path, "form.json", top_level_form(7))
@@ -320,9 +327,28 @@ class TestOutputGuard:
         assert code == 0 and payload["n"] == 8
         form = write_json(tmp_path, "one.json", line_one_form(Poly.var(1, 0)))
         fmap = write_json(tmp_path, "map.json", {"dom": 1, "cod": 8, "table": [1]})
-        code, payload, _ = run(capsys, "apply", "--form", form, "--map", fmap,
-                               "--cap-n", "8", "--max-entries", "256")
+        code, payload, _ = run(capsys, "apply", "--form", form, "--map", fmap, "--cap-n", "8")
         assert code == 0 and payload["n"] == 8
+
+    def test_zero_form_at_a_large_cod(self, tmp_path, capsys):
+        # m << cod has 2048 bits at cod 2047: answered at once; one more is refused
+        form = write_json(tmp_path, "form.json", SectorForm.zero(0, 1))
+        for cod, code_expected in ((2047, 0), (2048, 3), (10 ** 6, 3)):
+            fmap = write_json(tmp_path, "map.json", {"dom": 0, "cod": cod, "table": []})
+            start = time.perf_counter()
+            code, payload, _ = run(capsys, "apply", "--form", form, "--map", fmap)
+            assert time.perf_counter() - start < 1.0 and code == code_expected, cod
+        assert payload["error"] == "resource-guard"
+        assert "bits of m << output degree=1000001" in payload["detail"]
+
+    def test_zero_form_output_stays_writable(self, tmp_path, capsys, no_work):
+        # m has 4300 digits, the most the reader takes; 2m has 4301, more
+        # than Python writes, so the guard must refuse before the writer runs
+        m = 9 * 10 ** 4299
+        body = {"dom": m, "cod": 1, "components": [{"vars": m, "terms": []}]}
+        form = write_json(tmp_path, "form.json", {"n": 0, "m": m, "k": 1, "body": body})
+        code, payload, _ = run(capsys, "derive", "--form", form)
+        assert code == 3 and payload["error"] == "resource-guard"
 
     @pytest.mark.parametrize("n,m", [(6, 1), (5, 2)])
     def test_defaults_answer_the_largest_calculus_shapes(self, tmp_path, capsys, n, m):
@@ -409,7 +435,7 @@ class TestSectorBasisCommand:
     (("sector-basis", "--n", "1", "--dim", "1", "--deg", "0", "--max-candidates", "-5"),
      "sector_basis"),
     (("derive", "--form", "form.json", "--cap-n", "-1"), "exterior_derivative"),
-    (("apply", "--form", "form.json", "--map", "map.json", "--max-entries", "-1"),
+    (("apply", "--form", "form.json", "--map", "map.json", "--cap-n", "-1"),
      "apply_cardinal_map"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_out_of_range_argument_is_bad_argument(capsys, monkeypatch, argv, work):

@@ -301,6 +301,16 @@ class TestApplyCardinalMap:
             out = apply_cardinal_map(w, random_finmap(rng, a, b))
             assert out.n == b and is_sector_form(out)
 
+    def test_zero_form_takes_no_coface(self, monkeypatch):
+        # a coface per missing value would build a zero form with a fresh
+        # m << v integer each time, work growing as cod squared
+        def refuse(*args):
+            raise AssertionError("a zero form went through _cofaces")
+
+        monkeypatch.setattr(sector, "_cofaces", refuse)
+        w = SectorForm.zero(1, 2, 2)
+        assert apply_cardinal_map(w, FinMap(1, 10 ** 5, (3,))) == SectorForm.zero(10 ** 5, 2, 2)
+
     def test_matches_composed_generators(self):
         # every map n <= 3 -> cod <= 4, against the composed whiskers and
         # derivatives along its generator word
