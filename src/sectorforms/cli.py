@@ -93,17 +93,34 @@ _MAX_ENTRIES = 1 << 20
 _MAX_ZERO_DIM_BITS = 2048
 
 
-def _guard_output(form: SectorForm, degree: int, args) -> None:
+def _guard_output(form: SectorForm, degree: int, passes: int, width: int, args) -> None:
     """Bound an operator's output before it is built: its degree by
-    --cap-n, and its input terms times the m << degree exponent entries of
-    each output tuple by `_MAX_ENTRIES`.  A zero form builds no tuple, so
-    it passes at any degree whose m << degree stays writable."""
+    --cap-n, its input terms times the m << degree exponent entries of
+    each output tuple by `_MAX_ENTRIES`, and its coefficients, after
+    `passes` coface passes of `width` cofaces, by the int-to-str limit
+    (the reader sums repeated exponents, so even 0 passes can pass it).
+    A zero form builds no tuple, so it passes at any degree whose
+    m << degree stays writable.  Written over the lcm of their
+    denominators, a component's T coefficients have numerators summing
+    to under 2^(bits(T) + most numerator bits + all denominator bits);
+    a pass multiplies that sum by at most the term degree times `width`."""
     if form.is_zero:
         _guard(form.m.bit_length() + degree, _MAX_ZERO_DIM_BITS, "bits of m << output degree")
         return
     _guard(degree, args.cap_n, "output degree")
     terms = sum(len(comp.terms) for comp in form.body.components)
     _guard(terms * (form.m << degree), _MAX_ENTRIES, "terms x exponent entries")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if not limit:
+        return
+    coeffs = [comp.terms.values() for comp in form.body.components]
+    bits = max(len(cs).bit_length() + max([c.numerator.bit_length() for c in cs], default=0)
+               + sum([c.denominator.bit_length() for c in cs]) for cs in coeffs)
+    top = max(sum(exp) for comp in form.body.components for exp in comp.terms)
+    digits = (bits + passes * (top * width).bit_length()) * 30103 // 100000 + 1
+    if digits > limit:
+        raise CommandError("resource-guard", f"an output coefficient may have {digits} digits, "
+                           f"over Python's int-to-str limit of {limit}", EXIT_GUARD)
 
 
 def _load_form(path: str):
@@ -162,8 +179,8 @@ def _cmd_apply(args) -> int:
     if fmap.dom != form.n:
         raise CommandError("dimension-mismatch",
                            f"map leaves cardinal {fmap.dom}, form has degree {form.n}")
-    _guard_output(form, fmap.cod, args)
-    result = apply_cardinal_map(form, fmap, validate=False)
+    _guard_output(form, fmap.cod, fmap.cod - len(set(fmap.table)), 1, args)
+    result = apply_cardinal_map(form, fmap)
     return _emit(result, args.out,
                  f"degree {form.n} -> {result.n} along {list(fmap.table)}", EXIT_OK)
 
@@ -172,12 +189,12 @@ def _cmd_derive(args) -> int:
     form = _load_form(args.form)
     if args.position is not None and not 1 <= args.position <= form.n + 1:
         raise CommandError("dimension-mismatch", f"position must lie in 1..{form.n + 1}")
-    _guard_output(form, form.n + 1, args)
+    _guard_output(form, form.n + 1, 1, 1 if args.position is not None else form.n + 1, args)
     if args.position is not None:
-        result = coface(form, args.position, validate=False)
+        result = coface(form, args.position)
         what = f"derivative in position {args.position}"
     else:
-        result = exterior_derivative(form, validate=False)
+        result = exterior_derivative(form)
         what = "exterior derivative"
     return _emit(result, args.out,
                  f"{what}: degree {form.n} -> {result.n}"
@@ -188,10 +205,7 @@ def _cmd_derham(args) -> int:
     _guard(args.dim, args.cap_dim, "dim")
     _guard(args.deg, args.cap_deg, "deg")
     _guard(args.levels, args.cap_levels, "levels")
-    try:
-        rep = complex_report(args.dim, args.deg, args.levels, args.max_candidates)
-    except SizeError as err:
-        raise CommandError("resource-guard", str(err), EXIT_GUARD) from None
+    rep = complex_report(args.dim, args.deg, args.levels, args.max_candidates)
     payload = jsonio.complex_report_to_dict(rep)
     return _emit(payload, args.out,
                  f"H = {list(rep.cohomology)}, singular H = {list(rep.singular_cohomology)}, "
@@ -203,10 +217,7 @@ def _cmd_sector_basis(args) -> int:
     _guard(args.dim, args.cap_dim, "dim")
     _guard(args.deg, args.cap_deg, "deg")
     _guard(args.n, args.cap_levels, "n")
-    try:
-        basis = sector_basis(args.n, args.dim, args.deg, args.max_candidates)
-    except SizeError as err:
-        raise CommandError("resource-guard", str(err), EXIT_GUARD) from None
+    basis = sector_basis(args.n, args.dim, args.deg, args.max_candidates)
     payload = {
         "n": args.n, "m": args.dim, "d": args.deg,
         "dimension": len(basis),
@@ -296,6 +307,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CommandError as err:
         code, detail, status = err.code, err.detail, err.status
+    except SizeError as err:  # a basis guard in cohomology
+        code, detail, status = "resource-guard", str(err), EXIT_GUARD
     except JsonSyntaxError as err:
         code, detail, status = "bad-json", str(err), EXIT_INPUT
     except InputFormatError as err:

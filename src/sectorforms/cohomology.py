@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .linalg import rank
@@ -34,21 +34,8 @@ class SizeError(ValueError):
 
 
 def _base_exponents(m: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent vectors over m base variables of total degree <= d."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == m - 1:
-            for e in range(remaining + 1):
-                out.append(tuple(prefix) + (e,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    if m == 0:
-        return [()]
-    rec([], d)
-    return sorted(out)
+    """Exponent vectors over m base variables of total degree <= d, ascending."""
+    return [e for e in product(range(d + 1), repeat=m) if sum(e) <= d]
 
 
 def _touchard(n: int, m: int) -> int:
@@ -202,9 +189,9 @@ def _rank_and_kernel(basis: list[SectorForm], derived: dict) -> tuple[int, int, 
         key = tuple(form.body.components[0].terms.items())
         seen = derived.get(key)
         if seen is None:
-            dform = exterior_derivative(form, validate=False)
+            dform = exterior_derivative(form)
             seen = derived[key] = (_body_vector(dform),
-                                   exterior_derivative(dform, validate=False).is_zero)
+                                   exterior_derivative(dform).is_zero)
         vector, ok = seen
         vectors.append(vector)
         square_zero = square_zero and ok

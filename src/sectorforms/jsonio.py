@@ -155,23 +155,23 @@ def poly_to_dict(p: Poly) -> dict:
 
 
 def poly_from_dict(payload: dict) -> Poly:
+    """Checks each exponent as it reads it and sums repeated ones: no second pass."""
     nvars = _expect(payload, "vars", int)
     terms = {}
     for entry in _expect(payload, "terms", list):
         exp = tuple(_expect(entry, "exp", list))
-        if any(isinstance(e, bool) or not isinstance(e, int) for e in exp):
+        if not set(map(type, exp)) <= {int}:  # type, not isinstance: no bools
             raise InputFormatError(f"exponent {list(exp)} should hold integers")
+        if len(exp) != nvars or min(exp, default=0) < 0:
+            raise InputFormatError(f"bad exponent {exp} for {nvars} variables")
         num = _expect(entry, "num", str)
         den = _expect(entry, "den", str)
         try:
             coeff = Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as err:
+        except (ValueError, ZeroDivisionError):
             raise InputFormatError(f"bad coefficient {num}/{den}") from None
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
-    try:
-        return Poly(nvars, terms)
-    except (TypeError, ValueError) as err:
-        raise InputFormatError(str(err)) from None
+        terms[exp] = terms[exp] + coeff if exp in terms else coeff
+    return Poly._from_terms(nvars, {exp: c for exp, c in terms.items() if c})
 
 
 def polymap_to_dict(f: PolyMap) -> dict:
@@ -238,7 +238,7 @@ def load_json_file(path: str) -> dict:
             return json.load(fh)
     except OSError as err:
         raise InputFormatError(f"cannot read {path}: {err}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except ValueError as err:  # bad syntax or encoding, or an integer past the digit limit
         raise JsonSyntaxError(f"malformed JSON in {path}: {err}") from None
     except RecursionError:
         raise JsonSyntaxError(f"JSON in {path} is nested too deeply") from None

@@ -20,12 +20,14 @@ The operators:
 * ``exterior_derivative``     the signed sum of cofaces, which squares
   to zero.
 
-Every operator rewrites exponent tuples and builds no map: on the
-bitmask layout each whisker is a table of source masks, and the
-Jacobian followed by the principal projection moves one power of a
-variable v to v + m*2^n (docs/coordinate-layout.md, "Derivatives on
-exponent tuples" and "Linearity, codegeneracy and symmetry on exponent
-tuples").
+Each operator acts on sector forms only: it checks the linearity
+equations on every call, after its own index checks, and raises
+ValueError on a form that fails them.  Every operator rewrites exponent
+tuples and builds no map: on the bitmask layout each whisker is a table
+of source masks, and the Jacobian followed by the principal projection
+moves one power of a variable v to v + m*2^n (docs/coordinate-layout.md,
+"Derivatives on exponent tuples" and "Linearity, codegeneracy and
+symmetry on exponent tuples").
 
 Alternating forms (every adjacent swap acts as negation) are the
 singular forms; they are closed under the exterior derivative.
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import lcm
 from operator import itemgetter
 
@@ -48,8 +51,8 @@ from .tangent import _flat_sources, _surjection_sources
 class SectorForm:
     """A candidate sector form: degree n, base dimension m, values in R^k.
 
-    Construction only checks dimensions; the linearity equations are a
-    separate, explicit test (`is_sector_form`).
+    Construction only checks dimensions; every operator checks the
+    linearity equations (`multilinearity_failures`) before it acts.
     """
 
     n: int
@@ -99,21 +102,23 @@ class SectorForm:
 def multilinearity_failures(omega: SectorForm) -> tuple[int, ...]:
     """Indices i whose linearity equation fails, in ascending order.
 
-    The equation at i: probing the Jacobian at position i returns the
-    form itself, lifted through the origin.  The probe keeps the part of
-    degree exactly 1 in the coordinates of level n-i+1 (mask bit n-i), so
-    the equation holds when every monomial has degree 1 there.
+    The equation at i holds when every monomial has degree exactly 1 in
+    the coordinates of level n-i+1, those with mask bit n-i.  Each term's
+    nonzero entries fold their masks into bitsets of the levels met
+    (``once``) and met again or to a power above 1 (``twice``); the term
+    fails at the levels in ``twice`` and at those it never meets.
     """
-    n, m = omega.n, omega.m
-    exps = [exp for comp in omega.body.components for exp in comp.terms]
-    if not exps:  # the level lists are m << n long; a term's exponent bounds them
-        return ()
-    bad = []
-    for i in range(1, n + 1):
-        level = [flat for flat in range(m << n) if flat // m >> (n - i) & 1]
-        if any(sum(exp[flat] for flat in level) != 1 for exp in exps):
-            bad.append(i)
-    return tuple(bad)
+    n, m, bad = omega.n, omega.m, 0
+    full, flats = (1 << n) - 1, range(m << n)
+    for comp in omega.body.components:
+        for exp in comp.terms:
+            once = twice = 0
+            for flat in compress(flats, exp):
+                mask = flat // m
+                twice |= once & mask if exp[flat] == 1 else mask
+                once |= mask
+            bad |= twice | full & ~once
+    return tuple([i for i in range(1, n + 1) if bad >> (n - i) & 1])
 
 
 def is_sector_form(omega: SectorForm) -> bool:
@@ -196,16 +201,15 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     m, n = omega.m, omega.n + 1
     half, size = m << omega.n, m << n
     moves = [(sign > 0, _coface_reader(m, n, i)) for i, sign in signs.items()]
-    padding = [0] * half
+    padding, flats = [0] * half, range(half)
     components = []
     for comp in omega.body.components:
         den = lcm(*[c.denominator for c in comp.terms.values()])
         sums = {}
         for exp, c in comp.terms.items():
             a = c.numerator * (den // c.denominator)
-            for v, e in enumerate(exp):
-                if not e:
-                    continue
+            for v in compress(flats, exp):
+                e = exp[v]
                 derived = list(exp)
                 derived += padding
                 derived[v] = e - 1
@@ -219,19 +223,17 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
 
 
-def fundamental_derivative(omega: SectorForm, validate: bool = True) -> SectorForm:
+def fundamental_derivative(omega: SectorForm) -> SectorForm:
     """Jacobian then principal projection: degree n to degree n+1.
 
     A term c*x^e gives, for each variable v in it, c*e_v times x^e with
     one power of v moved to v + m*2^n, a coordinate of the new outermost
     level.
     """
-    if validate:
-        _require_sector(omega)
-    return _cofaces(omega, {1: 1})
+    return coface(omega, 1)
 
 
-def coface(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
+def coface(omega: SectorForm, i: int) -> SectorForm:
     """Derivative in position i: flip cycle, Jacobian, principal projection.
 
     The fundamental derivative with its flat indices permuted by the
@@ -239,30 +241,27 @@ def coface(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
     """
     if not 1 <= i <= omega.n + 1:
         raise ValueError(f"need 1 <= i <= {omega.n + 1}, got {i}")
-    if validate:
-        _require_sector(omega)
+    _require_sector(omega)
     return _cofaces(omega, {i: 1})
 
 
-def codegeneracy(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
+def codegeneracy(omega: SectorForm, i: int) -> SectorForm:
     """Precompose with the lift whisker at i: degree n+1 down to n."""
     if omega.n < 1 or not 1 <= i <= omega.n - 1:
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
-    if validate:
-        _require_sector(omega)
+    _require_sector(omega)
     return _reindex(omega, generator_map(Generator(EPSILON, omega.n - 1, i)))
 
 
-def symmetry(omega: SectorForm, i: int, validate: bool = True) -> SectorForm:
+def symmetry(omega: SectorForm, i: int) -> SectorForm:
     """Precompose with the adjacent swap at i; an involution on degree n."""
     if not 1 <= i <= omega.n - 1:
         raise ValueError(f"need 1 <= i <= {omega.n - 1}, got {i}")
-    if validate:
-        _require_sector(omega)
+    _require_sector(omega)
     return _reindex(omega, generator_map(Generator(SIGMA, omega.n, i)))
 
 
-def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> SectorForm:
+def apply_cardinal_map(omega: SectorForm, f: FinMap) -> SectorForm:
     """Act by an arbitrary map of finite cardinals f: n -> n'.
 
     f is a surjection onto its image followed by the monotone injection
@@ -271,8 +270,7 @@ def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> S
     """
     if f.dom != omega.n:
         raise ValueError(f"map leaves cardinal {f.dom}, form has degree {omega.n}")
-    if validate:
-        _require_sector(omega)
+    _require_sector(omega)
     if omega.is_zero:  # the cofaces would build a zero form per missing value
         return SectorForm.zero(f.cod, omega.m, omega.k)
     surjection, missing = split_map(f)
@@ -282,21 +280,22 @@ def apply_cardinal_map(omega: SectorForm, f: FinMap, validate: bool = True) -> S
     return out
 
 
-def exterior_derivative(omega: SectorForm, validate: bool = True) -> SectorForm:
+def exterior_derivative(omega: SectorForm) -> SectorForm:
     """The alternating sum of cofaces, (-1)^(i-1) at position i.
 
     One pass over the exponent tuples adds every signed coface into the
     same term dict.  Squares to zero: sector forms are a cochain complex.
     """
-    if validate:
-        _require_sector(omega)
+    _require_sector(omega)
     return _cofaces(omega, {i: 1 if i % 2 else -1 for i in range(1, omega.n + 2)})
 
 
 def is_alternating(omega: SectorForm) -> bool:
-    """Every adjacent swap acts as negation (vacuous below degree 2)."""
+    """Every adjacent swap acts as negation (vacuous below degree 2); on
+    any form, so the swaps rewrite without `symmetry`'s linearity check."""
     negated = -omega
-    return all(symmetry(omega, i, validate=False) == negated for i in range(1, omega.n))
+    return all(_reindex(omega, generator_map(Generator(SIGMA, omega.n, i))) == negated
+               for i in range(1, omega.n))
 
 
 # -- convenient constructors for the worked shapes ----------------------

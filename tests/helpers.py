@@ -235,11 +235,11 @@ def apply_generator_word(form, gens):
     out = form
     for g in gens:
         if g.kind == EPSILON:
-            out = codegeneracy(out, g.i, validate=False)
+            out = codegeneracy(out, g.i)
         elif g.kind == SIGMA:
-            out = symmetry(out, g.i, validate=False)
+            out = symmetry(out, g.i)
         else:
-            out = coface(out, g.i, validate=False)
+            out = coface(out, g.i)
     return out
 
 
@@ -489,6 +489,70 @@ def reference_exterior_derivative(omega):
     return total
 
 
+# -- exponent-tuple derivatives from the rotation formula -----------------
+#
+# A second oracle, cheap enough for T^5 and T^6 R^2: the Jacobian and
+# principal projection on the term dicts (c * e_v * x^(e - 1_v + 1_(v + half))),
+# then the flip cycle at i as the bit rotation `reference_cycle_sources`,
+# summed in Fractions.  It shares no table and no summation with
+# `sector._cofaces`.
+
+@lru_cache(maxsize=None)
+def rotation_targets(m, n, i):
+    """Where the flip cycle at i sends each flat index of T^n R^m."""
+    return [mask * m + j for mask in reference_cycle_sources(n, i) for j in range(m)]
+
+
+@lru_cache(maxsize=8)
+def rotated_cofaces(omega):
+    """(coface(omega, 1), ..., coface(omega, n + 1)): each derivative term is
+    made once, as its nonzero (flat index, exponent) pairs, and moved by
+    every rotation."""
+    m, n = omega.m, omega.n + 1
+    half, size = m << omega.n, m << n
+    derived = []
+    for comp in omega.body.components:
+        terms = []
+        for exp, c in comp.terms.items():
+            nonzero = {flat: e for flat, e in enumerate(exp) if e}
+            for v, e in nonzero.items():
+                entries = dict(nonzero)
+                entries[v] -= 1
+                entries[v + half] = 1
+                terms.append((entries.items(), c * e if e > 1 else c))
+        derived.append(terms)
+    cofaces = []
+    for i in range(1, n + 1):
+        to = rotation_targets(m, n, i)
+        comps = []
+        for terms in derived:
+            total = {}
+            for entries, c in terms:
+                moved = [0] * size
+                for flat, e in entries:
+                    moved[to[flat]] = e
+                key = tuple(moved)
+                total[key] = total[key] + c if key in total else c
+            comps.append(Poly._from_terms(size, {e: c for e, c in total.items() if c}))
+        cofaces.append(SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(comps))))
+    return tuple(cofaces)
+
+
+@lru_cache(maxsize=8)
+def rotated_exterior_derivative(omega):
+    """The signed sum of `rotated_cofaces`, added term by term."""
+    size = omega.m << omega.n + 1
+    comps = []
+    for j in range(omega.k):
+        total = {}
+        for i, w in enumerate(rotated_cofaces(omega), 1):
+            for exp, c in w.body.components[j].terms.items():
+                c = c if i % 2 else -c
+                total[exp] = total[exp] + c if exp in total else c
+        comps.append(Poly._from_terms(size, {e: c for e, c in total.items() if c}))
+    return SectorForm(omega.n + 1, omega.m, omega.k, PolyMap(size, omega.k, tuple(comps)))
+
+
 # -- reference singular basis: the alternating equations and their kernel --
 #
 # The package builds the alternating forms in closed form, as the images
@@ -505,7 +569,7 @@ def reference_alternating_subbasis(basis):
     rows = {}
     for col, form in enumerate(basis):
         for i in range(1, n):
-            residual = symmetry(form, i, validate=False) + form
+            residual = symmetry(form, i) + form
             for key, coeff in _body_vector(residual).items():
                 rows.setdefault((i,) + key, {})[col] = coeff
     out = []

@@ -129,7 +129,7 @@ def test_worked_derivatives():
             assert exterior_derivative(line_one_form(f)).is_zero
 
         for form in sector_basis(1, 1, 6):
-            assert exterior_derivative(form, validate=False).is_zero
+            assert exterior_derivative(form).is_zero
 
         for trial in range(10):
             g, h = random_poly_line(rng, 4), random_poly_line(rng, 4)
@@ -153,8 +153,8 @@ def test_boundary_squares_to_zero():
             for _ in range(50):
                 n = rng.randint(0, 2)
                 w = random_sector_form(rng, n, m, 3)
-                first = exterior_derivative(w, validate=False)
-                assert exterior_derivative(first, validate=False).is_zero
+                first = exterior_derivative(w)
+                assert exterior_derivative(first).is_zero
 
 
 def test_cosimplicial_functoriality():
@@ -167,15 +167,14 @@ def test_cosimplicial_functoriality():
             f = random_finmap(rng, a, b)
             g = random_finmap(rng, b, c)
             w = random_sector_form(rng, a, 1, 2)
-            stepwise = apply_cardinal_map(apply_cardinal_map(w, f, validate=False),
-                                          g, validate=False)
-            combined = apply_cardinal_map(w, fc_compose(f, g), validate=False)
+            stepwise = apply_cardinal_map(apply_cardinal_map(w, f), g)
+            combined = apply_cardinal_map(w, fc_compose(f, g))
             assert stepwise.body == combined.body
             # direct independence: a second, randomized factorization of f
             if a >= b and len(set(f.table)) == b:
                 alt_word = randomized_factorization(rng, f)
                 along_alt = apply_generator_word(w, alt_word.gens)
-                assert along_alt.body == apply_cardinal_map(w, f, validate=False).body
+                assert along_alt.body == apply_cardinal_map(w, f).body
 
 
 def test_line_cohomology():

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -180,6 +181,26 @@ def test_non_utf8_input_is_bad_json(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ("factor", "derive", "apply"))
+def test_integer_past_the_digit_limit_is_bad_json(tmp_path, capsys, command):
+    # 5,000 digits: more than Python turns into an int from text by default
+    huge = "9" * 5000
+    form = write_json(tmp_path, "form.json", line_one_form(Poly.var(1, 0)))
+    path = tmp_path / "huge.json"
+    if command == "derive":
+        path.write_text('{"n": 1, "m": 1, "k": 1, "body": {"dom": 2, "cod": 1, "components": '
+                        '[{"vars": 2, "terms": [{"exp": [%s, 1], "num": "1", "den": "1"}]}]}}'
+                        % huge)
+        argv = ("derive", "--form", str(path), "--position", "1")
+    else:
+        path.write_text('{"dom": 1, "cod": %s, "table": [1]}' % huge)
+        argv = (("factor", "--in", str(path)) if command == "factor"
+                else ("apply", "--form", form, "--map", str(path)))
+    code, payload, err = run(capsys, *argv)
+    assert code == 2 and payload["error"] == "bad-json"
+    assert str(path) in payload["detail"] and err.startswith("error: ")
+
+
 class TestApplyAndDerive:
     def test_apply_identity(self, tmp_path, capsys):
         rng = random.Random(1)
@@ -349,6 +370,56 @@ class TestOutputGuard:
         form = write_json(tmp_path, "form.json", {"n": 0, "m": m, "k": 1, "body": body})
         code, payload, _ = run(capsys, "derive", "--form", form)
         assert code == 3 and payload["error"] == "resource-guard"
+
+    @staticmethod
+    def big_coefficient_form(tmp_path, digits, exp=(5, 1)):
+        """The 1-form c * x^e0 * v on the line, c a numerator of `digits` 7s."""
+        return write_json(tmp_path, "form.json", {
+            "n": 1, "m": 1, "k": 1, "body": {"dom": 2, "cod": 1, "components": [
+                {"vars": 2, "terms": [{"exp": list(exp), "num": "7" * digits, "den": "1"}]}]}})
+
+    @pytest.mark.parametrize("argv", [("derive",), ("derive", "--position", "1"),
+                                      ("apply", "--map", "MAP")],
+                             ids=["d", "position", "apply"])
+    def test_coefficient_past_the_digit_limit(self, tmp_path, capsys, no_work, argv):
+        # 4,300 digits, the most the reader takes; times 5 the output needs 4,301
+        form = self.big_coefficient_form(tmp_path, 4300)
+        fmap = write_json(tmp_path, "map.json", {"dom": 1, "cod": 2, "table": [2]})
+        argv = [fmap if a == "MAP" else a for a in argv]
+        code, payload, _ = run(capsys, *argv[:1], "--form", form, *argv[1:])
+        assert code == 3 and payload["error"] == "resource-guard"
+        assert "int-to-str limit of 4300" in payload["detail"]
+
+    def test_summed_coefficient_past_the_digit_limit(self, tmp_path, capsys, no_work):
+        # two terms at one exponent, 4,300 digits each, read as one of 4,301:
+        # even the identity map would write it
+        term = {"exp": [5, 1], "num": "7" * 4300, "den": "1"}
+        form = write_json(tmp_path, "form.json", {
+            "n": 1, "m": 1, "k": 1, "body": {"dom": 2, "cod": 1, "components": [
+                {"vars": 2, "terms": [term, term]}]}})
+        fmap = write_json(tmp_path, "map.json", {"dom": 1, "cod": 1, "table": [1]})
+        code, payload, _ = run(capsys, "apply", "--form", form, "--map", fmap)
+        assert code == 3 and "int-to-str limit of 4300" in payload["detail"]
+
+    def test_coefficient_digits_within_the_limit(self, tmp_path, capsys):
+        # 4,290 digits times x * v: the bound is 4,292 digits, and d answers
+        form = self.big_coefficient_form(tmp_path, 4290, exp=(1, 1))
+        code, payload, _ = run(capsys, "derive", "--form", form, "--position", "1")
+        assert code == 0
+        assert {t["num"] for t in payload["body"]["components"][0]["terms"]} == {"7" * 4290}
+
+    def test_no_digit_limit_no_coefficient_guard(self, tmp_path, capsys):
+        form = self.big_coefficient_form(tmp_path, 4300)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, payload, _ = run(capsys, "derive", "--form", form, "--position", "1")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        # d(c x^5 v) in position 1 has the coefficients c and 5c = 388...885
+        nums = {t["num"] for t in payload["body"]["components"][0]["terms"]}
+        assert nums == {"7" * 4300, "3" + "8" * 4298 + "85"}
 
     @pytest.mark.parametrize("n,m", [(6, 1), (5, 2)])
     def test_defaults_answer_the_largest_calculus_shapes(self, tmp_path, capsys, n, m):

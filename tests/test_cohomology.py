@@ -143,9 +143,9 @@ class TestSingularBasis:
 
     def test_derivative_preserves_alternating(self):
         for form in singular_basis(2, 2, 1):
-            assert is_alternating(exterior_derivative(form, validate=False))
+            assert is_alternating(exterior_derivative(form))
         for form in singular_basis(1, 2, 2):
-            assert is_alternating(exterior_derivative(form, validate=False))
+            assert is_alternating(exterior_derivative(form))
 
     # (4, 3, 1) and (4, 3, 2) are left out: their nullspace takes 2 and 10 s
     # and is empty, as at every n > m
@@ -272,5 +272,5 @@ class TestBoundarySquaresToZero:
             for _ in range(10):
                 n = rng.randint(0, 2)
                 w = random_sector_form(rng, n, m, 3)
-                dd = exterior_derivative(exterior_derivative(w, validate=False), validate=False)
+                dd = exterior_derivative(exterior_derivative(w))
                 assert dd.is_zero
