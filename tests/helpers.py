@@ -541,7 +541,7 @@ def rotated_cofaces(omega):
 @lru_cache(maxsize=8)
 def rotated_exterior_derivative(omega):
     """The signed sum of `rotated_cofaces`, added term by term."""
-    size = omega.m << omega.n + 1
+    size = omega.m << (omega.n + 1)
     comps = []
     for j in range(omega.k):
         total = {}
