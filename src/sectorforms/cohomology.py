@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .linalg import rank
-from .poly import _ONE, Poly, PolyMap
+from .poly import _ONE, Poly
 from .sector import SectorForm, exterior_derivative
 
 
@@ -80,6 +80,12 @@ def sector_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[Se
     T_n the Touchard polynomial.  The guard compares that count before
     anything is built.
     """
+    _guard_sector_count(n, m, d, max_candidates)
+    return [SectorForm._from_components(n, m, (c,)) for c in sector_candidates(n, m, d)]
+
+
+def _guard_sector_count(n: int, m: int, d: int, max_candidates: int) -> None:
+    """Raise unless `sector_basis` may build its C(m+d, m)*T_n(m) forms."""
     if n < 0 or m < 1 or d < 0:
         raise ValueError("need n >= 0, m >= 1, d >= 0")
     count = comb(m + d, m) * _touchard(n, m)
@@ -87,17 +93,6 @@ def sector_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[Se
         raise SizeError(
             f"{count} candidates at (n={n}, m={m}, d={d}) "
             f"exceed the guard of {max_candidates}")
-    size = m << n
-    return [SectorForm(n, m, 1, PolyMap(size, 1, (c,))) for c in sector_candidates(n, m, d)]
-
-
-def _body_vector(form: SectorForm) -> dict:
-    """Sparse coefficient vector of a form body over (component, exponent) keys."""
-    vec = {}
-    for comp_idx, comp in enumerate(form.body.components):
-        for exp, coeff in comp.terms.items():
-            vec[(comp_idx, exp)] = coeff
-    return vec
 
 
 def singular_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[SectorForm]:
@@ -135,7 +130,7 @@ def singular_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[
                 for level, k in enumerate(perm):
                     exp[(m << level) + js[k]] = 1
                 terms[tuple(exp)] = sign
-            out.append(SectorForm(n, m, 1, PolyMap(size, 1, (Poly._from_terms(size, terms),))))
+            out.append(SectorForm._from_components(n, m, (Poly._from_terms(size, terms),)))
     return out
 
 
@@ -175,28 +170,21 @@ class ComplexReport:
         return ok and all(h >= 0 for h in self.cohomology + self.singular_cohomology)
 
 
-def _rank_and_kernel(basis: list[SectorForm], derived: dict) -> tuple[int, int, bool]:
-    """(rank of the boundary on this basis, kernel dim, boundary-squared-zero).
-
-    ``derived`` maps the terms of each scalar form already seen, as a
-    tuple of (exponent, coefficient) pairs, to (its d as a vector, d∘d is
-    zero), so a form shared between bases is differentiated once; the key
-    hashes far less than the frozen `SectorForm` does.
-    """
-    vectors = []
-    square_zero = True
-    for form in basis:
-        key = tuple(form.body.components[0].terms.items())
-        seen = derived.get(key)
-        if seen is None:
-            dform = exterior_derivative(form)
-            seen = derived[key] = (_body_vector(dform),
-                                   exterior_derivative(dform).is_zero)
-        vector, ok = seen
-        vectors.append(vector)
-        square_zero = square_zero and ok
-    r = rank([v for v in vectors if v])
-    return r, len(basis) - r, square_zero
+def _level_ranks(basis: list[SectorForm], m: int, d: int) -> tuple[int, int, int, bool]:
+    """(forms of base degree <= d, the rank of their boundary, the rank of
+    the boundary on the whole basis, d∘d vanishes on it).  The scalar forms
+    are stacked as the components of one form, so d and d∘d are one
+    `exterior_derivative` call each; component i of d is the row of form i."""
+    if not basis:
+        return 0, 0, 0, True
+    stack = SectorForm._from_components(basis[0].n, m, tuple(w.body.components[0] for w in basis))
+    dstack = exterior_derivative(stack)
+    rows = [c.terms for c in dstack.body.components]
+    low = [row for row, w in zip(rows, basis)
+           if sum(next(iter(w.body.components[0].terms))[:m]) <= d]
+    r = rank([row for row in low if row])
+    whole = r if len(low) == len(rows) else rank([row for row in rows if row])
+    return len(low), r, whole, exterior_derivative(dstack).is_zero
 
 
 def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> ComplexReport:
@@ -205,49 +193,29 @@ def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> C
     Kernels use coefficient bound d; images entering level n use the
     level-(n-1) basis at bound d+1.  Exact rational arithmetic
     throughout; the boundary-squares-to-zero flag is a hard check on
-    every basis element encountered.  The bound-d basis is part of the
-    bound-(d+1) one, and below level 2 the alternating basis is the
-    basis, so each distinct form is differentiated once per call.
+    every basis element encountered.  Past the guards, each level's two
+    bases are built once, at d+1 below the top level, and differentiated
+    as stacked forms; below level 2 they are one basis.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    bases_d = [sector_basis(nu, m, d, max_candidates) for nu in range(n_max + 1)]
-    bases_up = [sector_basis(nu, m, d + 1, max_candidates) for nu in range(n_max)]
-    alt_d = [singular_basis(nu, m, d, max_candidates) for nu in range(n_max + 1)]
-    alt_up = [singular_basis(nu, m, d + 1, max_candidates) for nu in range(n_max)]
+    # no singular guard can fail past these: C(m, n)*n! <= m^n <= T_n(m)
+    for bound, levels in ((d, n_max + 1), (d + 1, n_max)):
+        for nu in range(levels):
+            _guard_sector_count(nu, m, bound, max_candidates)
 
-    derived: dict[tuple, tuple[dict, bool]] = {}
-    verified = True
-    dims, kernels, ranks, raised = [], [], [], []
-    s_dims, s_kernels, s_ranks, s_raised = [], [], [], []
+    full, singular = [], []
     for nu in range(n_max + 1):
-        r, k, ok = _rank_and_kernel(bases_d[nu], derived)
-        verified = verified and ok
-        dims.append(len(bases_d[nu]))
-        ranks.append(r)
-        kernels.append(k)
-        sr, sk, sok = _rank_and_kernel(alt_d[nu], derived)
-        verified = verified and sok
-        s_dims.append(len(alt_d[nu]))
-        s_ranks.append(sr)
-        s_kernels.append(sk)
-    for nu in range(n_max):
-        r, _, ok = _rank_and_kernel(bases_up[nu], derived)
-        verified = verified and ok
-        raised.append(r)
-        sr, _, sok = _rank_and_kernel(alt_up[nu], derived)
-        verified = verified and sok
-        s_raised.append(sr)
+        bound = d + 1 if nu < n_max else d
+        full.append(_level_ranks(sector_basis(nu, m, bound, max_candidates), m, d))
+        # below level 2 every partition monomial is alternating, in the same order
+        singular.append(full[-1] if nu < 2 else
+                        _level_ranks(singular_basis(nu, m, bound, max_candidates), m, d))
 
-    cohomology = [kernels[0]] + [kernels[i] - raised[i - 1] for i in range(1, n_max + 1)]
-    s_cohomology = [s_kernels[0]] + [s_kernels[i] - s_raised[i - 1] for i in range(1, n_max + 1)]
-    return ComplexReport(
-        base_dim=m, degree_bound=d, levels=n_max,
-        dims=tuple(dims), kernel_dims=tuple(kernels),
-        boundary_ranks=tuple(ranks), image_ranks_raised=tuple(raised),
-        cohomology=tuple(cohomology),
-        singular_dims=tuple(s_dims), singular_kernel_dims=tuple(s_kernels),
-        singular_boundary_ranks=tuple(s_ranks),
-        singular_image_ranks_raised=tuple(s_raised),
-        singular_cohomology=tuple(s_cohomology),
-        complex_verified=verified)
+    columns = []  # in field order: dims, kernels, ranks, raised, then H, for each complex
+    for levels in (full, singular):
+        dims, ranks, whole, _ = zip(*levels)
+        kernels = tuple(n - r for n, r in zip(dims, ranks))
+        h = kernels[:1] + tuple(k - r for k, r in zip(kernels[1:], whole))
+        columns += (dims, kernels, ranks, whole[:-1], h)
+    return ComplexReport(m, d, n_max, *columns, all(level[3] for level in full + singular))

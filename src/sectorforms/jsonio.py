@@ -78,20 +78,14 @@ def _render(value, nl: str) -> str:
 @lru_cache(maxsize=64)
 def _form_layout(n: int, m: int, k: int, dom: int, cod: int, nl: str) -> tuple[str, ...]:
     """The fixed text of `sectorform_to_dict` of a form, rendered at line
-    break nl, around its exponents and coefficient strings: (head, the
-    opening of a component, of its terms, of a term, exponent separator,
-    before num, before den, the end of a term, term separator, the end of
-    the terms, the end of a component, component separator, tail)."""
-    i1, i2, i3, i4, i5, i6, i7 = (nl + "  " * depth for depth in range(1, 8))
+    break nl, around its terms: (head, the opening of a component, of its
+    terms, term separator, the end of the terms, the end of a component,
+    component separator, tail)."""
+    i1, i2, i3, i4, i5 = (nl + "  " * depth for depth in range(1, 6))
     return ("{" + i1 + f'"n": {n},' + i1 + f'"m": {m},' + i1 + f'"k": {k},' + i1 + '"body": {'
             + i2 + f'"dom": {dom},' + i2 + f'"cod": {cod},' + i2 + '"components": [' + i3,
             "{" + i4 + f'"vars": {dom},' + i4 + '"terms": ',
             "[" + i5,
-            "{" + i6 + '"exp": [' + i7,
-            "," + i7,
-            i6 + "]," + i6 + '"num": "',
-            '",' + i6 + '"den": "',
-            '"' + i5 + "}",
             "," + i5,
             i4 + "]",
             i3 + "}",
@@ -99,17 +93,25 @@ def _form_layout(n: int, m: int, k: int, dom: int, cod: int, nl: str) -> tuple[s
             i2 + "]" + i1 + "}" + nl + "}")
 
 
+@lru_cache(maxsize=64)
+def _term_format(dom: int, nl: str) -> str:
+    """One term at line break nl, a ``%d`` for each of its dom exponents,
+    its numerator and its denominator."""
+    i5, i6, i7 = (nl + "  " * depth for depth in range(5, 8))
+    return ("{" + i6 + '"exp": [' + i7 + ("," + i7).join(["%d"] * dom) + i6 + "],"
+            + i6 + '"num": "%d",' + i6 + '"den": "%d"' + i5 + "}")
+
+
 def _render_form(w: SectorForm, nl: str) -> str:
     """`_render` of ``sectorform_to_dict(w)``, written from the term dicts:
-    terms sorted by exponent, one join per exponent tuple."""
+    terms sorted by exponent, each written by one ``%`` format."""
     body = w.body
     layout = _form_layout(w.n, w.m, w.k, body.dom_dim, body.cod_dim, nl)
-    (head, component, terms_open, term, sep, num, den, term_end, terms_sep, terms_end,
-     component_end, components_sep, tail) = layout
+    head, component, terms_open, terms_sep, terms_end, component_end, components_sep, tail = layout
+    term = "" if body.is_zero else _term_format(body.dom_dim, nl)  # a zero form's dom may be huge
     comps = []
     for comp in body.components:
-        texts = [term + sep.join(map(int.__repr__, exp)) + num + str(c.numerator)
-                 + den + str(c.denominator) + term_end
+        texts = [term % (*exp, c.numerator, c.denominator)
                  for exp, c in sorted(comp.terms.items())]  # exponents are distinct
         terms = terms_open + terms_sep.join(texts) + terms_end if texts else "[]"
         comps.append(component + terms + component_end)

@@ -9,6 +9,7 @@ rescaled exactly, and results never touch floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Sequence
 
 Row = dict[Hashable, Fraction]
@@ -32,25 +33,32 @@ def rref(rows: Sequence[Row]) -> tuple[list[Row], dict[Hashable, int]]:
     Returns the nonzero reduced rows and a map pivot column -> row index.
     Deterministic: each step takes the sparsest remaining row, ties going
     to the smallest leading column and then to the earliest input row, and
-    pivots on its smallest column.
+    pivots on its smallest column.  The keys wait in a heap: a changed row
+    is pushed again, and a popped key that no longer fits its row skipped.
     """
-    work = [dict(r) for r in rows if r]
+    work = {i: dict(r) for i, r in enumerate(rows) if r}
+    heap = [(len(r), min(r), i) for i, r in work.items()]
+    heapify(heap)
     pivots: dict[Hashable, int] = {}
     reduced: list[Row] = []
-    while work:
-        row = work.pop(min(range(len(work)), key=lambda k: (len(work[k]), min(work[k]))))
-        col = min(row)
+    while heap:
+        size, col, i = heappop(heap)
+        row = work.get(i)
+        if not row or (size, col) != (len(row), min(row)):
+            continue  # pivoted, emptied, or changed since this key was pushed
+        del work[i]
         inv = 1 / row[col]
         row = {c: v * inv for c, v in row.items()}
-        for other in work:
+        for j, other in work.items():
             if col in other:
                 _sub_scaled(other, row, other[col])
+                if other:
+                    heappush(heap, (len(other), min(other), j))
         for done in reduced:
             if col in done:
                 _sub_scaled(done, row, done[col])
         pivots[col] = len(reduced)
         reduced.append(row)
-        work = [r for r in work if r]
     return reduced, pivots
 
 

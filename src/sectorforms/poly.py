@@ -302,6 +302,14 @@ class PolyMap:
             if c.nvars != self.dom_dim:
                 raise ValueError(f"component in {c.nvars} variables, domain is {self.dom_dim}")
 
+    @classmethod
+    def _from_components(cls, dom_dim: int, components: tuple[Poly, ...]) -> "PolyMap":
+        """Wrap a tuple of polynomials in dom_dim variables that the package
+        built itself, without the checks of `__post_init__`."""
+        out = cls.__new__(cls)
+        vars(out).update(dom_dim=dom_dim, cod_dim=len(components), components=components)
+        return out
+
     def __call__(self, point: Sequence[Rat]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)
 

@@ -73,6 +73,16 @@ class SectorForm:
                 f"expected {expect}->{self.k}")
 
     @classmethod
+    def _from_components(cls, n: int, m: int, components: tuple[Poly, ...]) -> "SectorForm":
+        """Wrap a nonempty tuple of polynomials in the m << n variables of
+        T^n R^m that the package built itself, without the checks of
+        `__post_init__`; k is its length."""
+        out = cls.__new__(cls)
+        vars(out).update(n=n, m=m, k=len(components),
+                         body=PolyMap._from_components(m << n, components))
+        return out
+
+    @classmethod
     def zero(cls, n: int, m: int, k: int = 1) -> "SectorForm":
         return cls(n, m, k, zero_map(m << n, k))
 
@@ -158,7 +168,7 @@ def _reindex(omega: SectorForm, u: FinMap) -> SectorForm:
             else:
                 terms[tuple(out)] = c
         components.append(Poly._from_terms(size, terms))
-    return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
+    return SectorForm._from_components(n, m, tuple(components))
 
 
 @cache
@@ -220,7 +230,7 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
                     sums[key] = sums.get(key, 0) + (plus if positive else -plus)
         components.append(Poly._from_terms(size, {e: Fraction(s, den)
                                                   for e, s in sums.items() if s}))
-    return SectorForm(n, m, omega.k, PolyMap(size, omega.k, tuple(components)))
+    return SectorForm._from_components(n, m, tuple(components))
 
 
 def fundamental_derivative(omega: SectorForm) -> SectorForm:

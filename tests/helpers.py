@@ -20,7 +20,7 @@ from sectorforms.fincard import (
     generator_map,
     identity,
 )
-from sectorforms.cohomology import _body_vector
+from sectorforms.cohomology import ComplexReport, sector_basis, singular_basis
 from sectorforms.jsonio import sectorform_to_dict
 from sectorforms.linalg import rank, rref
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
@@ -28,6 +28,7 @@ from sectorforms.sector import (
     SectorForm,
     codegeneracy,
     coface,
+    exterior_derivative,
     form_from_coefficients,
     is_sector_form,
     symmetry,
@@ -241,6 +242,15 @@ def apply_generator_word(form, gens):
         else:
             out = coface(out, g.i)
     return out
+
+
+def body_vector(form):
+    """Sparse coefficient vector of a form body over (component, exponent) keys."""
+    vec = {}
+    for comp_idx, comp in enumerate(form.body.components):
+        for exp, coeff in comp.terms.items():
+            vec[(comp_idx, exp)] = coeff
+    return vec
 
 
 def in_span(basis_rows, target):
@@ -570,7 +580,7 @@ def reference_alternating_subbasis(basis):
     for col, form in enumerate(basis):
         for i in range(1, n):
             residual = symmetry(form, i) + form
-            for key, coeff in _body_vector(residual).items():
+            for key, coeff in body_vector(residual).items():
                 rows.setdefault((i,) + key, {})[col] = coeff
     out = []
     for vec in nullspace(list(rows.values()), len(basis)):
@@ -603,3 +613,57 @@ def reference_derham_derivative(e, J):
             sign = -1 if sum(j < i for j in J) % 2 else 1
             out[(lowered, tuple(sorted(J + (i,))))] = sign * ei
     return out
+
+
+# -- reference complex report: one form at a time --------------------------
+#
+# The package builds each level's bases once, at the bound it needs, and
+# differentiates each as one stacked form; this builds the bound-d and
+# bound-(d+1) bases of every level separately, in the order their guards
+# raise, differentiates every form on its own (d, then d∘d) and ranks
+# each basis's vectors.
+
+def _reference_rank_and_kernel(basis):
+    vectors, square_zero = [], True
+    for form in basis:
+        dform = exterior_derivative(form)
+        vectors.append(body_vector(dform))
+        square_zero = square_zero and exterior_derivative(dform).is_zero
+    r = rank([v for v in vectors if v])
+    return r, len(basis) - r, square_zero
+
+
+def reference_complex_report(m, d, n_max, max_candidates=20000):
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    bases_d = [sector_basis(nu, m, d, max_candidates) for nu in range(n_max + 1)]
+    bases_up = [sector_basis(nu, m, d + 1, max_candidates) for nu in range(n_max)]
+    alt_d = [singular_basis(nu, m, d, max_candidates) for nu in range(n_max + 1)]
+    alt_up = [singular_basis(nu, m, d + 1, max_candidates) for nu in range(n_max)]
+    verified = True
+    dims, kernels, ranks, raised = [], [], [], []
+    s_dims, s_kernels, s_ranks, s_raised = [], [], [], []
+    for nu in range(n_max + 1):
+        for basis, out in ((bases_d[nu], (dims, ranks, kernels)),
+                           (alt_d[nu], (s_dims, s_ranks, s_kernels))):
+            r, k, ok = _reference_rank_and_kernel(basis)
+            verified = verified and ok
+            for column, value in zip(out, (len(basis), r, k)):
+                column.append(value)
+    for nu in range(n_max):
+        for basis, out in ((bases_up[nu], raised), (alt_up[nu], s_raised)):
+            r, _, ok = _reference_rank_and_kernel(basis)
+            verified = verified and ok
+            out.append(r)
+    h = [kernels[0]] + [kernels[i] - raised[i - 1] for i in range(1, n_max + 1)]
+    s_h = [s_kernels[0]] + [s_kernels[i] - s_raised[i - 1] for i in range(1, n_max + 1)]
+    return ComplexReport(
+        base_dim=m, degree_bound=d, levels=n_max,
+        dims=tuple(dims), kernel_dims=tuple(kernels),
+        boundary_ranks=tuple(ranks), image_ranks_raised=tuple(raised),
+        cohomology=tuple(h),
+        singular_dims=tuple(s_dims), singular_kernel_dims=tuple(s_kernels),
+        singular_boundary_ranks=tuple(s_ranks),
+        singular_image_ranks_raised=tuple(s_raised),
+        singular_cohomology=tuple(s_h),
+        complex_verified=verified)

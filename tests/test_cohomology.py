@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from helpers import (
+    body_vector,
     derham_keys,
     in_span,
     nullspace,
     random_sector_form,
     reference_alternating_subbasis,
+    reference_complex_report,
     reference_derham_derivative,
     reference_sector_basis,
     set_partitions,
@@ -24,7 +26,6 @@ from sectorforms.cohomology import (
     singular_basis,
 )
 from sectorforms.linalg import rank, rref
-from sectorforms.cohomology import _body_vector
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import (
     SectorForm,
@@ -89,12 +90,12 @@ class TestSectorBasis:
         h = x.scale(7) + Poly.const(1, 2)
         target = line_two_form(g, h)
         basis = sector_basis(2, 1, 2)
-        rows = [_body_vector(b) for b in basis]
-        assert in_span(rows, _body_vector(target))
+        rows = [body_vector(b) for b in basis]
+        assert in_span(rows, body_vector(target))
 
     def test_independence(self):
         basis = sector_basis(2, 1, 3)
-        rows = [_body_vector(b) for b in basis]
+        rows = [body_vector(b) for b in basis]
         assert rank(rows) == len(basis)
 
     def test_resource_guard(self):
@@ -123,8 +124,8 @@ class TestSectorBasis:
     @pytest.mark.parametrize("n,m,d", [(0, 2, 2), (1, 1, 3), (2, 1, 4), (3, 1, 2),
                                        (2, 2, 3), (2, 3, 1), (1, 3, 2)])
     def test_same_span_as_reference(self, n, m, d):
-        rows = [_body_vector(b) for b in sector_basis(n, m, d)]
-        ref = [_body_vector(b) for b in reference_sector_basis(n, m, d)]
+        rows = [body_vector(b) for b in sector_basis(n, m, d)]
+        ref = [body_vector(b) for b in reference_sector_basis(n, m, d)]
         assert rank(rows) == len(rows) == len(ref) == rank(rows + ref)
 
 
@@ -154,8 +155,8 @@ class TestSingularBasis:
     def test_matches_reference(self, n, m, d):
         basis = singular_basis(n, m, d)
         ref = reference_alternating_subbasis(sector_basis(n, m, d))
-        rows = [_body_vector(b) for b in basis]
-        ref_rows = [_body_vector(b) for b in ref]
+        rows = [body_vector(b) for b in basis]
+        ref_rows = [body_vector(b) for b in ref]
         assert len(basis) == comb(m + d, m) * comb(m, n)
         assert rank(rows) == len(rows) == len(ref) == rank(rows + ref_rows)
         for form in basis:
@@ -263,6 +264,51 @@ class TestComplexReport:
     def test_bad_levels(self):
         with pytest.raises(ValueError):
             complex_report(1, 2, -1)
+
+    # level 3 holds the negative H[3] the report must reproduce, not mend
+    @pytest.mark.parametrize("m,d,levels", [(1, d, levels) for d in range(5) for levels in range(4)]
+                             + [(2, d, levels) for d in range(3) for levels in range(4)]
+                             + [(3, 0, 2), (3, 1, 2), (3, 0, 3)])
+    def test_matches_reference(self, m, d, levels):
+        assert complex_report(m, d, levels) == reference_complex_report(m, d, levels)
+
+
+def outcome(report, *args):
+    try:
+        return report(*args)
+    except SizeError as err:
+        return str(err)
+
+
+class TestComplexReportGuards:
+    """The guards raise as when every basis at both bounds was built in
+    turn: sector bases at d, at d+1, then singular bases at d, at d+1."""
+
+    def test_raised_bound_message(self):
+        # bound 4 passes at levels 0 and 1 (5 forms each); bound 5 at level 0 has 6
+        with pytest.raises(SizeError, match=r"^6 candidates at \(n=0, m=1, d=5\) "
+                                            r"exceed the guard of 5$"):
+            complex_report(1, 4, 1, max_candidates=5)
+
+    @pytest.mark.parametrize("m,d,levels", [(1, 4, 1), (1, 1, 3), (2, 1, 3), (2, 0, 2), (3, 0, 3)])
+    def test_same_outcome_as_reference_at_every_cap(self, m, d, levels):
+        # each guard's count: sector forms, and singular forms times their n! monomials
+        counts = {len(build(nu, m, bound)) * (factorial(nu) if build is singular_basis else 1)
+                  for build in (sector_basis, singular_basis)
+                  for bound in (d, d + 1) for nu in range(levels + 1)}
+        for cap in sorted({c + e for c in counts for e in (-1, 0)} - {-1}):
+            args = (m, d, levels, cap)
+            assert outcome(complex_report, *args) == outcome(reference_complex_report, *args)
+
+    def test_guards_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built past the guard")
+
+        monkeypatch.setattr(cohomology, "sector_candidates", refuse)
+        monkeypatch.setattr(cohomology, "_base_exponents", refuse)
+        for args in ((1, 4, 1, 5), (2, 1, 3, 65), (3, 8, 4, 20000)):
+            with pytest.raises(SizeError):
+                complex_report(*args)
 
 
 class TestBoundarySquaresToZero:

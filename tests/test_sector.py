@@ -25,7 +25,7 @@ from helpers import (
     rotated_exterior_derivative,
 )
 from sectorforms import fincard, poly, sector, tangent
-from sectorforms.cohomology import sector_basis
+from sectorforms.cohomology import sector_basis, singular_basis
 from sectorforms.fincard import (
     DELTA,
     EPSILON,
@@ -91,6 +91,41 @@ class TestSectorFormType:
         w = line_one_form(F_POLY)
         assert (w - w).is_zero
         assert (w + w).body == w.body.scale(2)
+
+
+def validated(w):
+    """w rebuilt through the checking constructors, its body at m << n."""
+    size = w.m << w.n
+    comps = tuple(Poly(size, c.terms) for c in w.body.components)
+    return SectorForm(w.n, w.m, w.k, PolyMap(size, w.k, comps))
+
+
+def package_built_forms():
+    """Forms the package wraps without checks: bases, cofaces, d and the
+    reindexing operators, on basis forms, seeded k = 2 forms and zeros."""
+    rng = random.Random(29)
+    yield from sector_basis(2, 2, 1)
+    yield from singular_basis(2, 2, 1)
+    yield from singular_basis(3, 3, 0)
+    forms = [*sector_basis(3, 1, 1), *random_vector_forms(43), SectorForm.zero(2, 2, 2)]
+    for w in forms:
+        yield exterior_derivative(w)
+        yield from (coface(w, i) for i in range(1, w.n + 2))
+        yield from (symmetry(w, i) for i in range(1, w.n))
+        yield from (codegeneracy(w, i) for i in range(1, w.n))
+        for cod in range(max(w.n - 1, 0), w.n + 3):
+            if w.n == 0 or cod:
+                yield apply_cardinal_map(w, random_finmap(rng, w.n, cod))
+
+
+class TestTrustedConstructors:
+    def test_equal_and_hash_equal_to_validated_forms(self):
+        count = 0
+        for w in package_built_forms():
+            v = validated(w)
+            assert w == v and hash(w) == hash(v), w
+            count += 1
+        assert count > 200
 
 
 class TestIsSectorForm:

@@ -190,6 +190,11 @@ EDGE_FORMS = {
     "zero-component": SectorForm(1, 1, 2, PolyMap(2, 2, (Poly.zero(2), HALF_X))),
     "degree-0": SectorForm(0, 2, 1, PolyMap(2, 1, (Poly(2, {(0, 0): F(7), (3, 1): F(1)}),))),
     "huge": SectorForm(1, 1, 1, PolyMap(2, 1, (Poly(2, {(0, 1): F(-10 ** 40, 10 ** 40 + 1)}),))),
+    # 128-entry exponents, as at degree 6 on R^2, with large negative numerators
+    "wide": SectorForm(6, 2, 2, PolyMap(128, 2, (
+        Poly(128, {tuple(i % 4 for i in range(128)): F(-10 ** 60, 3),
+                   (0,) * 127 + (10 ** 30,): F(-(2 ** 70) - 1)}),
+        Poly(128, {(1,) + (0,) * 127: F(-7, 10 ** 25)})))),
 }
 
 
