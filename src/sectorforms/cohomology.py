@@ -182,8 +182,8 @@ def _level_ranks(basis: list[SectorForm], m: int, d: int) -> tuple[int, int, int
     rows = [c.terms for c in dstack.body.components]
     low = [row for row, w in zip(rows, basis)
            if sum(next(iter(w.body.components[0].terms))[:m]) <= d]
-    r = rank([row for row in low if row])
-    whole = r if len(low) == len(rows) else rank([row for row in rows if row])
+    r = rank(low)
+    whole = r if len(low) == len(rows) else rank(rows)
     return len(low), r, whole, exterior_derivative(dstack).is_zero
 
 

@@ -1,9 +1,10 @@
-"""Exact linear algebra over the rationals for sparse row dictionaries.
+"""Exact rank over the rationals for sparse row dictionaries.
 
 Rows are dicts mapping a column key (any sortable hashable) to a nonzero
-Fraction.  Elimination is fraction-free in spirit: pivots are chosen
-deterministically (shortest row, then smallest column key), rows are
-rescaled exactly, and results never touch floating point.
+Fraction.  Elimination runs forward only, in exact `Fraction` arithmetic
+with no floating point: pivots are chosen deterministically (shortest
+row, then smallest column key), and each pivot's column is cleared from
+the rows not yet pivoted.
 """
 
 from __future__ import annotations
@@ -27,41 +28,29 @@ def _sub_scaled(target: Row, source: Row, factor: Fraction) -> None:
             target.pop(col, None)
 
 
-def rref(rows: Sequence[Row]) -> tuple[list[Row], dict[Hashable, int]]:
-    """Reduced row echelon form.
+def rank(rows: Sequence[Row]) -> int:
+    """Rank of the rows, by forward elimination; empty rows are skipped.
 
-    Returns the nonzero reduced rows and a map pivot column -> row index.
-    Deterministic: each step takes the sparsest remaining row, ties going
-    to the smallest leading column and then to the earliest input row, and
-    pivots on its smallest column.  The keys wait in a heap: a changed row
-    is pushed again, and a popped key that no longer fits its row skipped.
+    Each step takes the sparsest remaining row, ties going to the smallest
+    leading column and then to the earliest input row, and clears its
+    smallest column from every other remaining row.  The keys wait in a
+    heap: a changed row is pushed again, and a popped key that no longer
+    fits its row skipped.
     """
     work = {i: dict(r) for i, r in enumerate(rows) if r}
     heap = [(len(r), min(r), i) for i, r in work.items()]
     heapify(heap)
-    pivots: dict[Hashable, int] = {}
-    reduced: list[Row] = []
+    count = 0
     while heap:
         size, col, i = heappop(heap)
         row = work.get(i)
         if not row or (size, col) != (len(row), min(row)):
             continue  # pivoted, emptied, or changed since this key was pushed
         del work[i]
-        inv = 1 / row[col]
-        row = {c: v * inv for c, v in row.items()}
         for j, other in work.items():
             if col in other:
-                _sub_scaled(other, row, other[col])
+                _sub_scaled(other, row, other[col] / row[col])
                 if other:
                     heappush(heap, (len(other), min(other), j))
-        for done in reduced:
-            if col in done:
-                _sub_scaled(done, row, done[col])
-        pivots[col] = len(reduced)
-        reduced.append(row)
-    return reduced, pivots
-
-
-def rank(rows: Sequence[Row]) -> int:
-    return len(rref(rows)[0])
-
+        count += 1
+    return count

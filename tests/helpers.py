@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
 from sectorforms.fincard import (
@@ -22,7 +23,7 @@ from sectorforms.fincard import (
 )
 from sectorforms.cohomology import ComplexReport, sector_basis, singular_basis
 from sectorforms.jsonio import sectorform_to_dict
-from sectorforms.linalg import rank, rref
+from sectorforms.linalg import _sub_scaled
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
 from sectorforms.sector import (
     SectorForm,
@@ -253,9 +254,44 @@ def body_vector(form):
     return vec
 
 
+def rref(rows):
+    """Reduced row echelon form.
+
+    Returns the nonzero reduced rows and a map pivot column -> row index.
+    Deterministic: each step takes the sparsest remaining row, ties going
+    to the smallest leading column and then to the earliest input row, and
+    pivots on its smallest column.  The keys wait in a heap: a changed row
+    is pushed again, and a popped key that no longer fits its row skipped.
+    """
+    work = {i: dict(r) for i, r in enumerate(rows) if r}
+    heap = [(len(r), min(r), i) for i, r in work.items()]
+    heapify(heap)
+    pivots = {}
+    reduced = []
+    while heap:
+        size, col, i = heappop(heap)
+        row = work.get(i)
+        if not row or (size, col) != (len(row), min(row)):
+            continue  # pivoted, emptied, or changed since this key was pushed
+        del work[i]
+        inv = 1 / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for j, other in work.items():
+            if col in other:
+                _sub_scaled(other, row, other[col])
+                if other:
+                    heappush(heap, (len(other), min(other), j))
+        for done in reduced:
+            if col in done:
+                _sub_scaled(done, row, done[col])
+        pivots[col] = len(reduced)
+        reduced.append(row)
+    return reduced, pivots
+
+
 def in_span(basis_rows, target):
     """Whether the sparse row target lies in the rational span of basis_rows."""
-    return rank([*basis_rows, target]) == rank(basis_rows)
+    return len(rref([*basis_rows, target])[0]) == len(rref(basis_rows)[0])
 
 
 def nullspace(rows, ncols):
@@ -629,7 +665,7 @@ def _reference_rank_and_kernel(basis):
         dform = exterior_derivative(form)
         vectors.append(body_vector(dform))
         square_zero = square_zero and exterior_derivative(dform).is_zero
-    r = rank([v for v in vectors if v])
+    r = len(rref(vectors)[0])
     return r, len(basis) - r, square_zero
 
 

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     body_vector,
@@ -14,6 +17,7 @@ from helpers import (
     reference_complex_report,
     reference_derham_derivative,
     reference_sector_basis,
+    rref,
     set_partitions,
 )
 from sectorforms import cohomology
@@ -25,7 +29,7 @@ from sectorforms.cohomology import (
     sector_candidates,
     singular_basis,
 )
-from sectorforms.linalg import rank, rref
+from sectorforms.linalg import rank
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import (
     SectorForm,
@@ -39,10 +43,34 @@ from sectorforms.sector import (
 F = Fraction
 
 
+@st.composite
+def sparse_rows(draw):
+    """Sparse rational rows over int or exponent-tuple columns (the keys
+    `complex_report` passes), some empty, with duplicates and scaled copies."""
+    keys = draw(st.sampled_from([list(range(6)), list(product(range(2), repeat=3))]))
+    coeffs = st.fractions(-4, 4, max_denominator=5).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(keys), coeffs, max_size=4), max_size=8))
+    if rows:
+        copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), coeffs), max_size=4))
+        rows += [{c: k * v for c, v in rows[i].items()} for i, k in copies]
+    return draw(st.permutations(rows))
+
+
 class TestLinalg:
-    def test_rref_rank(self):
+    def test_rank(self):
         rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {1: F(1), 2: F(1)}]
         assert rank(rows) == 2
+
+    def test_rank_skips_stale_keys(self):
+        # Pivoting row 0 moves row 1's leading column from 0 to 1, so row 1's
+        # first key is stale; pivoting on it would count row 2, which is
+        # row 1 - row 0, as independent.
+        rows = [{0: F(1), 1: F(1)}, {0: F(1), 2: F(1)}, {1: F(-1), 2: F(1)}]
+        assert rank(rows) == 2
+
+    @given(sparse_rows())
+    def test_rank_matches_rref(self, rows):
+        assert rank(rows) == len(rref(rows)[0])
 
     def test_nullspace_small(self):
         # x + y = 0 over three unknowns: kernel is 2-dimensional
