@@ -4,11 +4,16 @@ Coefficients are `fractions.Fraction`; a polynomial stores a dict from
 exponent tuples to nonzero coefficients, so equality is decidable term
 by term and every identity in this package is checked exactly.  There is
 no floating point anywhere.
+
+A `PolyMap` holds one polynomial per output.  A coordinate map (each
+output an input coordinate or 0) is held as its table instead, and
+`compose`, equality and `tangent.tangent_of_map` act on the table
+without building a polynomial (docs/coordinate-layout.md, "Maps held as
+tables").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -110,7 +115,8 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
+            s = terms.get(exp)
+            s = c if s is None else s + c
             if s:
                 terms[exp] = s
             else:
@@ -257,15 +263,15 @@ def _substitute(terms: Mapping[Exponent, Fraction], images: Sequence[_Image],
                 nvars: int) -> dict[Exponent, Fraction]:
     """The term dict of a polynomial with variable j replaced by images[j].
 
-    Works only on the nonzero entries of each exponent; a term that meets a
-    zero image vanishes, and terms that cancel are dropped.
+    Works only on the nonzero entries of each exponent (found at C speed
+    by `compress`); a term that meets a zero image vanishes, and terms that
+    cancel are dropped.
     """
     out: dict[Exponent, Fraction] = {}
     for exp, c in terms.items():
         new = [0] * nvars
-        for j, e in enumerate(exp):
-            if not e:
-                continue
+        for j in compress(range(len(exp)), exp):
+            e = exp[j]
             image = images[j]
             if image is None:
                 break
@@ -285,30 +291,107 @@ def _substitute(terms: Mapping[Exponent, Fraction], images: Sequence[_Image],
     return out
 
 
-@dataclass(frozen=True)
+# fields are set through this; PolyMap itself refuses assignment
+_fill = object.__setattr__
+
+
 class PolyMap:
-    """A polynomial map R^a -> R^b: one component per output coordinate."""
+    """A polynomial map R^a -> R^b: one component per output coordinate.
 
-    dom_dim: int
-    cod_dim: int
-    components: tuple[Poly, ...]
+    A coordinate map, whose outputs are each an input coordinate or 0, can
+    be built as its table alone: ``picks`` has one entry per output, the
+    input index or None for 0.  Any other map holds its ``components``.
+    Whichever field is missing is built from the other on first read and
+    kept, so a map built from components reads them as a plain slot.
+    ``_table`` is the table a map was built from, None for one built from
+    components; compose, T and equality use it without reading either
+    field.  Immutable: assigning to a field raises.
+    """
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        if len(comps) != self.cod_dim:
-            raise ValueError(f"{len(comps)} components for codomain {self.cod_dim}")
+    __slots__ = ("dom_dim", "cod_dim", "components", "picks", "_table")
+
+    def __init__(self, dom_dim: int, cod_dim: int, components: Iterable[Poly]):
+        comps = tuple(components)
+        if len(comps) != cod_dim:
+            raise ValueError(f"{len(comps)} components for codomain {cod_dim}")
         for c in comps:
-            if c.nvars != self.dom_dim:
-                raise ValueError(f"component in {c.nvars} variables, domain is {self.dom_dim}")
+            if c.nvars != dom_dim:
+                raise ValueError(f"component in {c.nvars} variables, domain is {dom_dim}")
+        _fill(self, "dom_dim", dom_dim)
+        _fill(self, "cod_dim", cod_dim)
+        _fill(self, "components", comps)
+        _fill(self, "_table", None)
 
     @classmethod
     def _from_components(cls, dom_dim: int, components: tuple[Poly, ...]) -> "PolyMap":
         """Wrap a tuple of polynomials in dom_dim variables that the package
-        built itself, without the checks of `__post_init__`."""
+        built itself, without the checks of `__init__`."""
         out = cls.__new__(cls)
-        vars(out).update(dom_dim=dom_dim, cod_dim=len(components), components=components)
+        _fill(out, "dom_dim", dom_dim)
+        _fill(out, "cod_dim", len(components))
+        _fill(out, "components", components)
+        _fill(out, "_table", None)
         return out
+
+    @classmethod
+    def _from_picks(cls, dom_dim: int, picks: tuple[int | None, ...]) -> "PolyMap":
+        """Hold a coordinate map as its table: each entry an index in
+        range(dom_dim) or None, already checked by the caller."""
+        out = cls.__new__(cls)
+        _fill(out, "dom_dim", dom_dim)
+        _fill(out, "cod_dim", len(picks))
+        _fill(out, "picks", picks)
+        _fill(out, "_table", picks)
+        return out
+
+    def __getattr__(self, name):
+        # reached only for a field not filled yet; object.__getattribute__
+        # reads the other field without coming back here
+        if name == "components":
+            n, picks = self.dom_dim, object.__getattribute__(self, "picks")
+            zero = Poly._from_terms(n, {})
+            # a zero map needs no exponent, however large its domain
+            unit = [0] * n if any(j is not None for j in picks) else None
+            comps = []
+            for j in picks:
+                if j is None:
+                    comps.append(zero)
+                    continue
+                unit[j] = 1
+                comps.append(Poly._from_terms(n, {tuple(unit): _ONE}))
+                unit[j] = 0
+            value = tuple(comps)
+        elif name == "picks":
+            value = _coordinate_table(object.__getattribute__(self, "components"))
+        else:
+            raise AttributeError(f"'PolyMap' object has no attribute {name!r}")
+        _fill(self, name, value)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyMap is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PolyMap is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by assignment
+        return PolyMap, (self.dom_dim, self.cod_dim, self.components)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyMap):
+            return NotImplemented
+        if self.dom_dim != other.dom_dim or self.cod_dim != other.cod_dim:
+            return False
+        if self._table is not None and other._table is not None:
+            return self._table == other._table
+        return self.components == other.components
+
+    def __hash__(self):
+        # equal components decode to equal tables, so a map hashes the same
+        # whichever way it is held
+        picks = self.picks
+        return hash((self.dom_dim, self.cod_dim, self.components if picks is None else picks))
 
     def __call__(self, point: Sequence[Rat]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)
@@ -316,17 +399,17 @@ class PolyMap:
     def __add__(self, other: "PolyMap") -> "PolyMap":
         if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
             raise ValueError("dimension mismatch")
-        return PolyMap(self.dom_dim, self.cod_dim,
-                       tuple(a + b for a, b in zip(self.components, other.components)))
+        return PolyMap._from_components(
+            self.dom_dim, tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "PolyMap") -> "PolyMap":
         return self + (-other)
 
     def __neg__(self) -> "PolyMap":
-        return PolyMap(self.dom_dim, self.cod_dim, tuple(-c for c in self.components))
+        return PolyMap._from_components(self.dom_dim, tuple(-c for c in self.components))
 
     def scale(self, c: Rat) -> "PolyMap":
-        return PolyMap(self.dom_dim, self.cod_dim, tuple(p.scale(c) for p in self.components))
+        return PolyMap._from_components(self.dom_dim, tuple(p.scale(c) for p in self.components))
 
     @property
     def is_zero(self) -> bool:
@@ -337,26 +420,11 @@ class PolyMap:
         return f"PolyMap({self.dom_dim}->{self.cod_dim}: [{body}])"
 
 
-def identity_map(n: int) -> PolyMap:
-    return PolyMap(n, n, tuple(Poly.var(n, j) for j in range(n)))
-
-
-def zero_map(dom_dim: int, cod_dim: int) -> PolyMap:
-    return PolyMap(dom_dim, cod_dim, tuple(Poly.zero(dom_dim) for _ in range(cod_dim)))
-
-
-def coordinate_map(dom_dim: int, assignment: Iterable[int | None]) -> PolyMap:
-    """Each output is an input coordinate or constant zero (None)."""
-    comps = tuple(Poly.zero(dom_dim) if j is None else Poly.var(dom_dim, j)
-                  for j in assignment)
-    return PolyMap(dom_dim, len(comps), comps)
-
-
-def _picks(g: PolyMap) -> list[int | None] | None:
-    """The coordinate table of g when every component is 0 or a variable
-    with coefficient 1 (None for 0, j for x_j); None when some is not."""
+def _coordinate_table(components: tuple[Poly, ...]) -> tuple[int | None, ...] | None:
+    """The table of a map whose every component is 0 or a variable with
+    coefficient 1 (None for 0, j for x_j); None when some is not."""
     out: list[int | None] = []
-    for comp in g.components:
+    for comp in components:
         terms = comp.terms
         if not terms:
             out.append(None)
@@ -367,34 +435,59 @@ def _picks(g: PolyMap) -> list[int | None] | None:
         if c != 1 or sum(exp) != 1:
             return None
         out.append(exp.index(1))
-    return out
+    return tuple(out)
+
+
+def identity_map(n: int) -> PolyMap:
+    return PolyMap._from_picks(n, tuple(range(n)))
+
+
+def zero_map(dom_dim: int, cod_dim: int) -> PolyMap:
+    return PolyMap._from_picks(dom_dim, (None,) * cod_dim)
+
+
+def coordinate_map(dom_dim: int, assignment: Iterable[int | None]) -> PolyMap:
+    """Each output is an input coordinate or constant zero (None)."""
+    picks = tuple(assignment)
+    for j in picks:
+        if j is not None and not 0 <= j < dom_dim:
+            raise ValueError(f"variable {j} out of range")
+    return PolyMap._from_picks(dom_dim, picks)
 
 
 def compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite: first ``f``, then ``g``.
 
-    Three cases, tried in order:
+    Four cases, tried in order:
 
-    * g is a coordinate map (each component 0 or a variable x_j with
-      coefficient 1): the composite picks component j of f for each x_j
-      and one zero polynomial for each 0; nothing is substituted.
-    * every component of f is 0 or a single term: exponents of g are
-      rewritten term by term (`_substitute`).
+    * f was built as a table and g is a coordinate map (its ``picks`` is
+      not None): the composite is the table ``f.picks[j]`` for each
+      ``j`` in ``g.picks``; no polynomial is built.
+    * g is a coordinate map: the composite picks component j of f for
+      each x_j and one zero polynomial for each 0; nothing is substituted.
+    * f was built as a table, or every component of f is 0 or a single
+      term: exponents of g are rewritten term by term (`_substitute`),
+      which for a table renames variables.
     * otherwise each component of g is expanded by `Poly.subs`.
     """
     if f.cod_dim != g.dom_dim:
         raise ValueError(f"cod {f.cod_dim} != dom {g.dom_dim}")
-    # every component of f lives in f.dom_dim variables (PolyMap checks it),
-    # so subs' per-call checks would only repeat; decide the case once
-    args, n = f.components, f.dom_dim
-    picks = _picks(g)
-    if picks is not None:
-        zero = Poly._from_terms(n, {})
-        comps = tuple(zero if j is None else args[j] for j in picks)
-    elif all(len(a.terms) <= 1 for a in args):
-        images = _images(args)
-        comps = tuple(Poly._from_terms(n, _substitute(c.terms, images, n))
-                      for c in g.components)
+    n = f.dom_dim
+    table, picks = f._table, g.picks
+    if table is not None:
+        if picks is not None:
+            return PolyMap._from_picks(n, tuple([None if j is None else table[j]
+                                                 for j in picks]))
+        images = [None if j is None else (((j, 1),), None) for j in table]
     else:
-        comps = tuple(c.subs(args, nvars=n) for c in g.components)
-    return PolyMap(n, g.cod_dim, comps)
+        args = f.components
+        if picks is not None:
+            zero = Poly._from_terms(n, {})
+            return PolyMap._from_components(n, tuple(zero if j is None else args[j]
+                                                     for j in picks))
+        if any(len(a.terms) > 1 for a in args):
+            return PolyMap._from_components(n, tuple(c.subs(args, nvars=n)
+                                                     for c in g.components))
+        images = _images(args)
+    return PolyMap._from_components(n, tuple(Poly._from_terms(n, _substitute(c.terms, images, n))
+                                             for c in g.components))

@@ -78,8 +78,12 @@ def tangent_of_map(f: PolyMap) -> PolyMap:
     one power moved from v to a + v.  Distinct (e, v) give distinct
     exponents, so nothing cancels.  `sector._cofaces` uses the same shift
     (docs/coordinate-layout.md, "Derivatives on exponent tuples").
+    T of a map built as a table t is the table t, then t shifted by a.
     """
     a, b = f.dom_dim, f.cod_dim
+    if f._table is not None:
+        return PolyMap._from_picks(2 * a, f._table + tuple([None if j is None else a + j
+                                                            for j in f._table]))
     n, pad = 2 * a, (0,) * a
     base, tangent = [], []
     for comp in f.components:
@@ -216,6 +220,17 @@ def tangent_fibre_map(f: PolyMap) -> PolyMap:
     return PolyMap(3 * a, 3 * b, tuple(base + first + second))
 
 
+def _outputs(f: PolyMap, g: PolyMap):
+    """The outputs of two maps on one domain, and how to wrap a selection.
+
+    When both were built as tables, the outputs are table entries and the
+    selection stays a table; otherwise they are components.
+    """
+    if f._table is not None and g._table is not None:
+        return f._table, g._table, PolyMap._from_picks
+    return f.components, g.components, PolyMap._from_components
+
+
 def fibre_pair(f: PolyMap, g: PolyMap) -> PolyMap:
     """Pair two maps into T Y over a shared base as a map into the fibre product.
 
@@ -224,10 +239,10 @@ def fibre_pair(f: PolyMap, g: PolyMap) -> PolyMap:
     if f.dom_dim != g.dom_dim or f.cod_dim != g.cod_dim or f.cod_dim % 2:
         raise ValueError("expected two maps into the same tangent space")
     y = f.cod_dim // 2
-    if f.components[:y] != g.components[:y]:
+    fb, gb, wrap = _outputs(f, g)
+    if fb[:y] != gb[:y]:
         raise ValueError("maps disagree on the base block")
-    return PolyMap(f.dom_dim, 3 * y,
-                   f.components[:y] + f.components[y:] + g.components[y:])
+    return wrap(f.dom_dim, fb[:y] + fb[y:] + gb[y:])
 
 
 def tangent_pair(f: PolyMap, g: PolyMap) -> PolyMap:
@@ -240,12 +255,11 @@ def tangent_pair(f: PolyMap, g: PolyMap) -> PolyMap:
     if f.dom_dim != g.dom_dim or f.cod_dim != g.cod_dim or f.cod_dim % 4:
         raise ValueError("expected two maps into the same double tangent space")
     m = f.cod_dim // 4
-    fb, gb = f.components, g.components
+    fb, gb, wrap = _outputs(f, g)
     if fb[:m] != gb[:m] or fb[2 * m:3 * m] != gb[2 * m:3 * m]:
         raise ValueError("maps disagree under the tangent projection")
-    comps = (fb[:m] + fb[m:2 * m] + gb[m:2 * m]
-             + fb[2 * m:3 * m] + fb[3 * m:] + gb[3 * m:])
-    return PolyMap(f.dom_dim, 6 * m, comps)
+    return wrap(f.dom_dim, fb[:m] + fb[m:2 * m] + gb[m:2 * m]
+                + fb[2 * m:3 * m] + fb[3 * m:] + gb[3 * m:])
 
 
 # -- axiom verification -------------------------------------------------

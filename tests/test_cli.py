@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -65,6 +66,26 @@ class TestVerifyAxioms:
         code, payload, _ = run(capsys, "verify-axioms", "--dim", "1", "--depth", "2")
         assert code == 0
         assert payload["failures"] == []
+
+    # sha256 of stdout at each benchmark size, as the polynomial route wrote it
+    @pytest.mark.parametrize("dim, depth, checked, digest", [
+        (1, 3, 55, "ed839c26fa721df078c6e59ff4c6dab4e8602bc1a1b0670ad162a5e17e1a4a26"),
+        (1, 4, 73, "06e0557e5d3578b53de7f4757a2a44a951927f5533a8979be011d45165d3a2c7"),
+        (1, 5, 91, "a71f1447383098c89df19b1189a48cad08eff24b1e62a769503abd6bf8347434"),
+        (2, 3, 55, "e2aa90168b4d9ca5ee8c7ecc5b0825f28df69d48064a4f21bbf2f5c2c7eb1f0b"),
+        (2, 4, 73, "224de633a73dbe8260452e76d71667abf989a459171303a930af6935ee9124fb"),
+        (2, 5, 91, "cc29837cd19d290501bd5599cfefcb7caf95a034f43ed8a0711f6bf546ae0ab9"),
+        (3, 3, 80, "f2bcee632c1d91dfead47e9f8135e7941cf0c91ce9d1302d6cfec75ed87671c0"),
+        (3, 4, 98, "1b5fc5368d088333dd138914669114804d2f59e2195bbf5a617e3159117bab43"),
+        (3, 5, 116, "1709559016f68361e58642f61995255955feff97cdcc7bc75be23062bdd0c293"),
+    ])
+    def test_report_bytes_at_benchmark_sizes(self, capsys, dim, depth, checked, digest):
+        code = main(["verify-axioms", "--dim", str(dim), "--depth", str(depth)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert json.loads(captured.out)["checked"] == checked
+        assert captured.err == f"{checked} axiom instances at dim {dim}, 0 failures\n"
 
     @pytest.mark.parametrize("depth", ("0", "-2"))
     def test_nonpositive_depth_rejected(self, capsys, depth):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -344,3 +346,103 @@ class TestBuiltPolynomials:
     def test_public_constructor_still_checks(self, exp):
         with pytest.raises(ValueError):
             Poly(2, {exp: 1})
+
+
+@st.composite
+def tables(draw, dom_dim, cod_dim):
+    """A coordinate table: per output, an input index or None."""
+    index = st.integers(0, dom_dim - 1) if dom_dim else st.none()
+    return tuple(draw(st.lists(st.one_of(st.none(), index),
+                               min_size=cod_dim, max_size=cod_dim)))
+
+
+def held(table, dom_dim, kind):
+    """The coordinate map of a table, built as the table or from components."""
+    if kind == "table":
+        return coordinate_map(dom_dim, table)
+    return PolyMap(dom_dim, len(table), coordinate_map(dom_dim, table).components)
+
+
+@st.composite
+def map_pairs(draw):
+    """(f, g) composable, each a coordinate map built as its table or from
+    components, or a random polynomial map."""
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+    kinds = ("table", "components", "random")
+    fk, gk = draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))
+    f = draw(polymaps(a, b)) if fk == "random" else held(draw(tables(a, b)), a, fk)
+    g = draw(polymaps(b, c)) if gk == "random" else held(draw(tables(b, c)), b, gk)
+    return f, g
+
+
+class TestTableMaps:
+    """Coordinate maps built as their tables: compose, equality and checks."""
+
+    @given(map_pairs())
+    def test_compose_matches_reference_subs(self, pair):
+        f, g = pair
+        h = compose(f, g)
+        assert (h.dom_dim, h.cod_dim) == (f.dom_dim, g.cod_dim)
+        assert h.components == tuple(reference_subs(p, f.components, f.dom_dim)
+                                     for p in g.components)
+        for p in h.components:
+            assert_built(p, f.dom_dim)
+
+    @given(st.integers(0, 4).flatmap(lambda a: st.tuples(
+        st.just(a), tables(a, 3), tables(a, 3))))
+    def test_equal_and_hash_equal_across_representations(self, case):
+        # fresh maps for every pair, hashed before anything reads their fields
+        a, t, u = case
+        kinds = ("table", "components")
+        for x, y in ((t, t), (t, u), (u, t)):
+            for left_kind in kinds:
+                for right_kind in kinds:
+                    left, right = held(x, a, left_kind), held(y, a, right_kind)
+                    hashes = hash(left), hash(right)
+                    assert (left == right) is (right == left) is (x == y)
+                    if x == y:
+                        assert hashes[0] == hashes[1]
+
+    def test_picks_decoded_once_and_kept(self):
+        f = PolyMap(2, 3, (Y1, Poly.zero(2), Y0))
+        assert f.picks == (1, None, 0)
+        assert f.picks is f.picks
+        assert PolyMap(2, 1, (Y0.scale(2),)).picks is None
+        assert PolyMap(2, 1, (Y0 + Y1,)).picks is None
+
+    def test_components_built_from_table_once_and_kept(self):
+        f = coordinate_map(3, [2, None, 0])
+        assert f.components == (Poly.var(3, 2), Poly.zero(3), Poly.var(3, 0))
+        assert f.components is f.components
+        for p in f.components:
+            assert_built(p, 3)
+
+    @pytest.mark.parametrize("index", (2, 7, -1, -3))
+    def test_coordinate_map_rejects_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            coordinate_map(2, [0, index])
+
+    @pytest.mark.parametrize("field", ("dom_dim", "cod_dim", "components", "picks"))
+    def test_fields_cannot_be_assigned(self, field):
+        for f in (coordinate_map(2, [1, None]), PolyMap(2, 2, (Y1, Poly.zero(2)))):
+            before = f.dom_dim, f.cod_dim, f.components, f.picks
+            with pytest.raises(AttributeError):
+                setattr(f, field, None)
+            with pytest.raises(AttributeError):
+                delattr(f, field)
+            assert (f.dom_dim, f.cod_dim, f.components, f.picks) == before
+
+    def test_copy_and_pickle(self):
+        for f in (coordinate_map(3, [2, None]), PolyMap(2, 1, (Y0 * Y1 + Y1,))):
+            for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert g == f and hash(g) == hash(f)
+
+    def test_arithmetic_results_are_built(self):
+        rng = random.Random(909)
+        f = PolyMap(2, 2, tuple(random_poly(rng, 2) for _ in range(2)))
+        g = coordinate_map(2, [1, None])
+        for h in (f + g, -f, f.scale(F(3, 2)), f - g, g + g):
+            assert (h.dom_dim, h.cod_dim) == (2, 2)
+            for p in h.components:
+                assert_built(p, 2)
+        assert (f + g).components == tuple(p + q for p, q in zip(f.components, g.components))

@@ -23,11 +23,13 @@ from sectorforms.tangent import (
     bundle_projection,
     canonical_flip,
     fibre_addition,
+    fibre_pair,
     flip_whisker,
     origin_lift,
     principal_projection,
     realize_surjection,
     tangent_fibre_map,
+    tangent_pair,
     tangent_of_map,
     verify_tangent_axioms,
     vertical_lift,
@@ -168,6 +170,21 @@ class TestTangentFunctor:
                 tf = tangent_of_map(f)
                 assert tf == reference_tangent_of_map(f)
                 assert tangent_of_map(tf) == reference_tangent_of_map(tf)
+
+    def test_table_route_matches_jacobian(self):
+        # T of a map built as a table is a table; the same map rebuilt from its
+        # components takes the Jacobian route, which stays the oracle
+        rng = random.Random(1717)
+        for a in range(5):
+            for b in range(5):
+                for _ in range(4):
+                    table = [rng.choice([None] + list(range(a))) for _ in range(b)]
+                    tf = tangent_of_map(coordinate_map(a, table))
+                    rebuilt = PolyMap(a, b, coordinate_map(a, table).components)
+                    assert tf.picks == tuple(table) + tuple(
+                        None if j is None else a + j for j in table)
+                    assert tf == tangent_of_map(rebuilt) == reference_tangent_of_map(rebuilt)
+                    assert tf.components == tangent_of_map(rebuilt).components
 
     def test_tangent_part_matches_termwise_derivative_oracle(self):
         # assemble the expected Jacobian pushforward without Poly.partial
@@ -338,6 +355,26 @@ class TestFibreMaps:
             rhs = compose(fibre_addition(2), tangent_of_map(f))
             assert lhs == rhs
 
+    @pytest.mark.parametrize("pair, f, g, expected", [
+        (fibre_pair, [0, 1], [0, 2], (0, 1, 2)),
+        (tangent_pair, [0, 1, 2, 3], [0, 4, 2, None], (0, 1, 4, 2, 3, None)),
+    ], ids=["fibre", "tangent"])
+    def test_pairs_of_tables_stay_tables(self, monkeypatch, pair, f, g, expected):
+        # the same pairing of the maps rebuilt from components is the oracle
+        oracle = pair(*(PolyMap(5, len(t), coordinate_map(5, t).components) for t in (f, g)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairing two tables built a polynomial")
+
+        for name in ("var", "_from_terms", "__init__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        paired = pair(coordinate_map(5, f), coordinate_map(5, g))
+        assert paired.picks == expected
+        monkeypatch.undo()
+        assert paired == oracle and oracle.picks == expected
+        with pytest.raises(ValueError, match="disagree"):
+            pair(coordinate_map(5, f), coordinate_map(5, [1] + g[1:]))
+
 
 class TestAxioms:
     def test_all_axioms_pass_dim1(self):
@@ -363,7 +400,37 @@ class TestAxioms:
 
         monkeypatch.setattr(tangent, "canonical_flip", bad_flip)
         rep = verify_tangent_axioms(1, depth=2)
-        assert not rep.ok
+        assert [f["axiom"] for f in rep.failures] == [
+            "flip-fixes-lift", "flip-braid", "lift-flip-exchange", "flip-bundle-square",
+            "flip-additive", "flip-unit", "naturality-flip[0]", "naturality-flip[1]",
+            "naturality-flip[2]", "naturality-flip[3]"]
+        assert rep.failures[4]["error"] == "maps disagree on the base block"
+
+    def test_mutated_lift_detected(self, monkeypatch):
+        def bad_lift(m):
+            # (x, v) |-> (x, 0, v, 0): v lands in the wrong tangent block
+            return coordinate_map(2 * m, list(range(m)) + [None] * m
+                                  + list(range(m, 2 * m)) + [None] * m)
+
+        monkeypatch.setattr(tangent, "vertical_lift", bad_lift)
+        rep = verify_tangent_axioms(1, depth=2)
+        assert [f["axiom"] for f in rep.failures] == [
+            "flip-fixes-lift", "lift-bundle-square", "lift-additive",
+            "lift-principal-double", "lift-principal-swap"]
+        assert rep.failures[2]["error"] == "maps disagree under the tangent projection"
+
+    @pytest.mark.parametrize("mu", (1, 2, 3, 4))
+    def test_coherence_builds_no_polynomial(self, monkeypatch, mu):
+        # lift, flip, identity and their T and composites are tables
+        # throughout, and two tables compare as tables
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coherence axiom built a polynomial")
+
+        for name in ("var", "_from_terms", "__init__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        for name, _depth, build in tangent._coherence_axioms(mu):
+            lhs, rhs = build()
+            assert lhs == rhs, name
 
     def test_unbuildable_axiom_is_a_failure(self, monkeypatch):
         def broken_pair(f, g):
