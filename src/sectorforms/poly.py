@@ -5,11 +5,11 @@ exponent tuples to nonzero coefficients, so equality is decidable term
 by term and every identity in this package is checked exactly.  There is
 no floating point anywhere.
 
-A `PolyMap` holds one polynomial per output.  A coordinate map (each
-output an input coordinate or 0) is held as its table instead, and
-`compose`, equality and `tangent.tangent_of_map` act on the table
-without building a polynomial (docs/coordinate-layout.md, "Maps held as
-tables").
+A `PolyMap` holds one polynomial per output.  A coordinate map built by
+`coordinate_map`, `identity_map` or `zero_map` (each output an input
+coordinate or 0) is held as its table instead, and `compose`, equality
+and `tangent.tangent_of_map` act on the table without building a
+polynomial (docs/coordinate-layout.md, "Maps held as tables").
 """
 
 from __future__ import annotations
@@ -114,13 +114,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            s = c if s is None else s + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
+        _add_terms(terms, other.terms.items())
         return Poly._from_terms(self.nvars, terms)
 
     def __neg__(self) -> "Poly":
@@ -182,15 +176,7 @@ class Poly:
         """Rename variable j to where[j] inside a larger variable set."""
         if len(where) != self.nvars:
             raise ValueError("need one target per variable")
-        terms: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            new = [0] * nvars
-            for j, e in enumerate(exp):
-                if e:
-                    new[where[j]] += e
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return Poly._from_terms(nvars, {exp: c for exp, c in terms.items() if c})
+        return Poly._from_terms(nvars, _rename(self.terms, where, nvars))
 
     def subs(self, args: Sequence["Poly"], nvars: int | None = None) -> "Poly":
         """Substitute args[j] for variable j; all args share a variable set.
@@ -207,7 +193,7 @@ class Poly:
         if any(a.nvars != nvars for a in args):
             raise ValueError("replacements disagree on variable count")
 
-        out = Poly.zero(nvars)
+        out: dict[Exponent, Fraction] = {}
         powers: dict[tuple[int, int], Poly] = {}
         for exp, c in self.terms.items():
             term = None
@@ -217,11 +203,12 @@ class Poly:
                         powers[j, e] = args[j] if e == 1 else args[j] ** e
                     term = powers[j, e] if term is None else term * powers[j, e]
             if term is None:
-                term = Poly.const(nvars, c)
+                _add_terms(out, (((0,) * nvars, c),))
             elif c != 1:
-                term = term.scale(c)
-            out = out + term
-        return out
+                _add_terms(out, [(key, c * v) for key, v in term.terms.items()])
+            else:
+                _add_terms(out, term.terms.items())
+        return Poly._from_terms(nvars, out)
 
     def eval(self, point: Sequence[Rat]) -> Fraction:
         if len(point) != self.nvars:
@@ -237,57 +224,46 @@ class Poly:
         return total
 
 
-# -- substituting 0 or single terms ----------------------------------------
+# -- summing and renaming term dicts -----------------------------------
 
-_Image = tuple[tuple[tuple[int, int], ...], Fraction | None] | None
-
-
-def _images(args: Sequence[Poly]) -> list[_Image]:
-    """Each argument, 0 or one term c * x^a, as None or (nonzero (v, a_v), c).
-
-    The coefficient is None when it is 1, so substitution skips the product.
-    """
-    out: list[_Image] = []
-    for a in args:
-        if not a.terms:
-            out.append(None)
-            continue
-        (exp, c), = a.terms.items()
-        # compress finds the nonzero entries at C speed; a coordinate has one
-        pairs = tuple([(v, exp[v]) for v in compress(range(len(exp)), exp)])
-        out.append((pairs, None if c == 1 else c))
-    return out
+def _add_terms(out: dict[Exponent, Fraction], items: Iterable[tuple[Exponent, Fraction]]):
+    """Add (exponent, nonzero coefficient) pairs into the term dict ``out``
+    in place, dropping a term whose sum is 0; only a sum is truth-tested,
+    since `Fraction.__bool__` is a Python-level call."""
+    for exp, c in items:
+        if exp in out:
+            s = out[exp] + c
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+        else:
+            out[exp] = c
 
 
-def _substitute(terms: Mapping[Exponent, Fraction], images: Sequence[_Image],
-                nvars: int) -> dict[Exponent, Fraction]:
-    """The term dict of a polynomial with variable j replaced by images[j].
+def _rename(terms: Mapping[Exponent, Fraction], table: Sequence[int | None],
+            nvars: int) -> dict[Exponent, Fraction]:
+    """The term dict, in ``nvars`` variables, of a polynomial with variable j
+    renamed to table[j], or replaced by 0 where table[j] is None.
 
     Works only on the nonzero entries of each exponent (found at C speed
-    by `compress`); a term that meets a zero image vanishes, and terms that
-    cancel are dropped.
+    by `compress`); a term that meets a None vanishes, exponents of
+    variables renamed alike add up, and terms that collide are summed,
+    dropping zero sums.
     """
-    out: dict[Exponent, Fraction] = {}
+    renamed = []
+    places = range(len(table))
     for exp, c in terms.items():
         new = [0] * nvars
-        for j in compress(range(len(exp)), exp):
-            e = exp[j]
-            image = images[j]
-            if image is None:
+        for j in compress(places, exp):
+            to = table[j]
+            if to is None:
                 break
-            pairs, ac = image
-            if ac is not None:
-                c = c * ac ** e
-            for v, p in pairs:
-                new[v] += p * e
+            new[to] += exp[j]
         else:
-            key = tuple(new)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            renamed.append((tuple(new), c))
+    out: dict[Exponent, Fraction] = {}
+    _add_terms(out, renamed)
     return out
 
 
@@ -298,17 +274,15 @@ _fill = object.__setattr__
 class PolyMap:
     """A polynomial map R^a -> R^b: one component per output coordinate.
 
-    A coordinate map, whose outputs are each an input coordinate or 0, can
-    be built as its table alone: ``picks`` has one entry per output, the
-    input index or None for 0.  Any other map holds its ``components``.
-    Whichever field is missing is built from the other on first read and
-    kept, so a map built from components reads them as a plain slot.
-    ``_table`` is the table a map was built from, None for one built from
-    components; compose, T and equality use it without reading either
-    field.  Immutable: assigning to a field raises.
+    A map built by `coordinate_map`, `identity_map` or `zero_map` is held
+    as its table: ``picks`` has one entry per output, the input index or
+    None for 0, and ``components`` is built from it on first read and
+    kept.  Any other map holds its ``components``, and its ``picks`` is
+    None, whatever the components are.  Compose, T and equality use
+    ``picks`` when it is set.  Immutable: assigning to a field raises.
     """
 
-    __slots__ = ("dom_dim", "cod_dim", "components", "picks", "_table")
+    __slots__ = ("dom_dim", "cod_dim", "components", "picks")
 
     def __init__(self, dom_dim: int, cod_dim: int, components: Iterable[Poly]):
         comps = tuple(components)
@@ -320,7 +294,7 @@ class PolyMap:
         _fill(self, "dom_dim", dom_dim)
         _fill(self, "cod_dim", cod_dim)
         _fill(self, "components", comps)
-        _fill(self, "_table", None)
+        _fill(self, "picks", None)
 
     @classmethod
     def _from_components(cls, dom_dim: int, components: tuple[Poly, ...]) -> "PolyMap":
@@ -330,7 +304,7 @@ class PolyMap:
         _fill(out, "dom_dim", dom_dim)
         _fill(out, "cod_dim", len(components))
         _fill(out, "components", components)
-        _fill(out, "_table", None)
+        _fill(out, "picks", None)
         return out
 
     @classmethod
@@ -341,30 +315,26 @@ class PolyMap:
         _fill(out, "dom_dim", dom_dim)
         _fill(out, "cod_dim", len(picks))
         _fill(out, "picks", picks)
-        _fill(out, "_table", picks)
         return out
 
     def __getattr__(self, name):
-        # reached only for a field not filled yet; object.__getattribute__
-        # reads the other field without coming back here
-        if name == "components":
-            n, picks = self.dom_dim, object.__getattribute__(self, "picks")
-            zero = Poly._from_terms(n, {})
-            # a zero map needs no exponent, however large its domain
-            unit = [0] * n if any(j is not None for j in picks) else None
-            comps = []
-            for j in picks:
-                if j is None:
-                    comps.append(zero)
-                    continue
-                unit[j] = 1
-                comps.append(Poly._from_terms(n, {tuple(unit): _ONE}))
-                unit[j] = 0
-            value = tuple(comps)
-        elif name == "picks":
-            value = _coordinate_table(object.__getattribute__(self, "components"))
-        else:
+        # reached only for a slot not filled yet: the components of a map
+        # held as its table; a property for them made every read slower
+        if name != "components":
             raise AttributeError(f"'PolyMap' object has no attribute {name!r}")
+        n, picks = self.dom_dim, self.picks
+        zero = Poly._from_terms(n, {})
+        # a zero map needs no exponent, however large its domain
+        unit = [0] * n if any(j is not None for j in picks) else None
+        comps = []
+        for j in picks:
+            if j is None:
+                comps.append(zero)
+                continue
+            unit[j] = 1
+            comps.append(Poly._from_terms(n, {tuple(unit): _ONE}))
+            unit[j] = 0
+        value = tuple(comps)
         _fill(self, name, value)
         return value
 
@@ -383,15 +353,12 @@ class PolyMap:
             return NotImplemented
         if self.dom_dim != other.dom_dim or self.cod_dim != other.cod_dim:
             return False
-        if self._table is not None and other._table is not None:
-            return self._table == other._table
+        if self.picks is not None and other.picks is not None:
+            return self.picks == other.picks
         return self.components == other.components
 
     def __hash__(self):
-        # equal components decode to equal tables, so a map hashes the same
-        # whichever way it is held
-        picks = self.picks
-        return hash((self.dom_dim, self.cod_dim, self.components if picks is None else picks))
+        return hash((self.dom_dim, self.cod_dim, self.components))
 
     def __call__(self, point: Sequence[Rat]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)
@@ -420,24 +387,6 @@ class PolyMap:
         return f"PolyMap({self.dom_dim}->{self.cod_dim}: [{body}])"
 
 
-def _coordinate_table(components: tuple[Poly, ...]) -> tuple[int | None, ...] | None:
-    """The table of a map whose every component is 0 or a variable with
-    coefficient 1 (None for 0, j for x_j); None when some is not."""
-    out: list[int | None] = []
-    for comp in components:
-        terms = comp.terms
-        if not terms:
-            out.append(None)
-            continue
-        if len(terms) > 1:
-            return None
-        (exp, c), = terms.items()
-        if c != 1 or sum(exp) != 1:
-            return None
-        out.append(exp.index(1))
-    return tuple(out)
-
-
 def identity_map(n: int) -> PolyMap:
     return PolyMap._from_picks(n, tuple(range(n)))
 
@@ -458,36 +407,28 @@ def coordinate_map(dom_dim: int, assignment: Iterable[int | None]) -> PolyMap:
 def compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite: first ``f``, then ``g``.
 
-    Four cases, tried in order:
+    Four routes, tried in order:
 
-    * f was built as a table and g is a coordinate map (its ``picks`` is
-      not None): the composite is the table ``f.picks[j]`` for each
-      ``j`` in ``g.picks``; no polynomial is built.
-    * g is a coordinate map: the composite picks component j of f for
-      each x_j and one zero polynomial for each 0; nothing is substituted.
-    * f was built as a table, or every component of f is 0 or a single
-      term: exponents of g are rewritten term by term (`_substitute`),
-      which for a table renames variables.
+    * both are tables: the composite is the table ``f.picks[j]`` for
+      each ``j`` in ``g.picks``; no polynomial is built.
+    * g is a table: the composite picks component j of f for each x_j
+      and one zero polynomial for each 0; nothing is substituted.
+    * f is a table: each component of g has its variables renamed by
+      f's table (`_rename`).
     * otherwise each component of g is expanded by `Poly.subs`.
     """
     if f.cod_dim != g.dom_dim:
         raise ValueError(f"cod {f.cod_dim} != dom {g.dom_dim}")
-    n = f.dom_dim
-    table, picks = f._table, g.picks
-    if table is not None:
-        if picks is not None:
+    n, table, picks = f.dom_dim, f.picks, g.picks
+    if picks is not None:
+        if table is not None:
             return PolyMap._from_picks(n, tuple([None if j is None else table[j]
                                                  for j in picks]))
-        images = [None if j is None else (((j, 1),), None) for j in table]
-    else:
-        args = f.components
-        if picks is not None:
-            zero = Poly._from_terms(n, {})
-            return PolyMap._from_components(n, tuple(zero if j is None else args[j]
-                                                     for j in picks))
-        if any(len(a.terms) > 1 for a in args):
-            return PolyMap._from_components(n, tuple(c.subs(args, nvars=n)
-                                                     for c in g.components))
-        images = _images(args)
-    return PolyMap._from_components(n, tuple(Poly._from_terms(n, _substitute(c.terms, images, n))
+        args, zero = f.components, Poly._from_terms(n, {})
+        return PolyMap._from_components(n, tuple(zero if j is None else args[j]
+                                                 for j in picks))
+    if table is not None:
+        return PolyMap._from_components(n, tuple(Poly._from_terms(n, _rename(c.terms, table, n))
+                                                 for c in g.components))
+    return PolyMap._from_components(n, tuple(c.subs(f.components, nvars=n)
                                              for c in g.components))

@@ -43,7 +43,7 @@ from math import lcm
 from operator import itemgetter
 
 from .fincard import EPSILON, SIGMA, FinMap, Generator, generator_map, sigma_cycle, split_map
-from .poly import Poly, PolyMap, zero_map
+from .poly import Poly, PolyMap, _rename, zero_map
 from .tangent import _flat_sources, _surjection_sources
 
 
@@ -154,21 +154,9 @@ def _reindex(omega: SectorForm, u: FinMap) -> SectorForm:
         return SectorForm.zero(n, omega.m, omega.k)
     m, size = omega.m, omega.m << n
     where = _flat_sources(m, _surjection_sources(u))
-    components = []
-    for comp in omega.body.components:
-        terms = {}
-        for exp, c in comp.terms.items():
-            out = [0] * size
-            for flat, e in enumerate(exp):
-                if e:
-                    to = where[flat]
-                    if to is None:
-                        break
-                    out[to] = e
-            else:
-                terms[tuple(out)] = c
-        components.append(Poly._from_terms(size, terms))
-    return SectorForm._from_components(n, m, tuple(components))
+    return SectorForm._from_components(n, m, tuple(
+        Poly._from_terms(size, _rename(comp.terms, where, size))
+        for comp in omega.body.components))
 
 
 @cache

@@ -81,9 +81,9 @@ def tangent_of_map(f: PolyMap) -> PolyMap:
     T of a map built as a table t is the table t, then t shifted by a.
     """
     a, b = f.dom_dim, f.cod_dim
-    if f._table is not None:
-        return PolyMap._from_picks(2 * a, f._table + tuple([None if j is None else a + j
-                                                            for j in f._table]))
+    if f.picks is not None:
+        return PolyMap._from_picks(2 * a, f.picks + tuple([None if j is None else a + j
+                                                           for j in f.picks]))
     n, pad = 2 * a, (0,) * a
     base, tangent = [], []
     for comp in f.components:
@@ -208,16 +208,19 @@ def realize_surjection(u: FinMap, m: int) -> PolyMap:
 
 # -- fibre products and pairings ---------------------------------------
 
+def _fibre_projections(m: int) -> tuple[PolyMap, PolyMap]:
+    """The two projections of the fibre product, (x, u, w) |-> (x, u) and
+    (x, u, w) |-> (x, w), as tables."""
+    return (coordinate_map(3 * m, range(2 * m)),
+            coordinate_map(3 * m, list(range(m)) + list(range(2 * m, 3 * m))))
+
+
 def tangent_fibre_map(f: PolyMap) -> PolyMap:
-    """The induced map on fibre products: (x, u, w) |-> (f x, Jf u, Jf w)."""
-    a, b = f.dom_dim, f.cod_dim
+    """The induced map on fibre products: (x, u, w) |-> (f x, Jf u, Jf w),
+    the pairing of Tf after each fibre projection."""
     tf = tangent_of_map(f)
-    u_map = list(range(2 * a))
-    w_map = list(range(a)) + list(range(2 * a, 3 * a))
-    base = [tf.components[j].embed(3 * a, u_map) for j in range(b)]
-    first = [tf.components[b + j].embed(3 * a, u_map) for j in range(b)]
-    second = [tf.components[b + j].embed(3 * a, w_map) for j in range(b)]
-    return PolyMap(3 * a, 3 * b, tuple(base + first + second))
+    pi1, pi2 = _fibre_projections(f.dom_dim)
+    return fibre_pair(compose(pi1, tf), compose(pi2, tf))
 
 
 def _outputs(f: PolyMap, g: PolyMap):
@@ -226,8 +229,8 @@ def _outputs(f: PolyMap, g: PolyMap):
     When both were built as tables, the outputs are table entries and the
     selection stays a table; otherwise they are components.
     """
-    if f._table is not None and g._table is not None:
-        return f._table, g._table, PolyMap._from_picks
+    if f.picks is not None and g.picks is not None:
+        return f.picks, g.picks, PolyMap._from_picks
     return f.components, g.components, PolyMap._from_components
 
 
@@ -304,17 +307,13 @@ def _bundle_morphism_axioms(mu: int):
                      zero_section, fibre_addition)
     T = tangent_of_map
 
-    def pis():
-        return (coordinate_map(3 * mu, list(range(2 * mu))),
-                coordinate_map(3 * mu, list(range(mu)) + list(range(2 * mu, 3 * mu))))
-
     def lift_additive():
-        pi1, pi2 = pis()
+        pi1, pi2 = _fibre_projections(mu)
         lift2 = tangent_pair(compose(pi1, L(mu)), compose(pi2, L(mu)))
         return compose(lift2, T(A(mu))), compose(A(mu), L(mu))
 
     def flip_additive():
-        tpi1, tpi2 = map(T, pis())
+        tpi1, tpi2 = map(T, _fibre_projections(mu))
         flip2 = fibre_pair(compose(tpi1, C(mu)), compose(tpi2, C(mu)))
         return compose(flip2, A(2 * mu)), compose(T(A(mu)), C(mu))
 

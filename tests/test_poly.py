@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sectorforms.poly import Poly, PolyMap, compose, coordinate_map, identity_map, zero_map
+from sectorforms.poly import (
+    Poly,
+    PolyMap,
+    _rename,
+    compose,
+    coordinate_map,
+    identity_map,
+    zero_map,
+)
 from sectorforms.sector import coface, exterior_derivative
 from sectorforms.tangent import tangent_of_map
 
@@ -274,16 +282,21 @@ def term_dicts(h):
 
 
 class TestPickPath:
-    """`compose(f, g)` picks components of f when g is a coordinate map."""
+    """`compose(f, g)` picks components of f when g is built as a table."""
 
     @given(coordinate_cases(coordinates_only=True))
     def test_coordinate_map_picks_components(self, case):
+        # g built from components is substituted; its twin built as a table
+        # picks f's components themselves
         f, g = case
         before = term_dicts(f), term_dicts(g)
         h = compose(f, g)
         assert h.components == tuple(reference_subs(p, f.components, f.dom_dim)
                                      for p in g.components)
-        for p, out in zip(g.components, h.components):
+        table = [next(iter(p.terms)).index(1) if p.terms else None for p in g.components]
+        picked = compose(f, coordinate_map(g.dom_dim, table))
+        assert picked.components == h.components
+        for p, out in zip(g.components, picked.components):
             if p.terms:
                 (exp, _), = p.terms.items()
                 assert out is f.components[exp.index(1)]
@@ -375,6 +388,30 @@ def map_pairs(draw):
     return f, g
 
 
+@st.composite
+def renamings(draw):
+    """A polynomial in a variables and a table of length a into n variables,
+    with None entries and repeated targets; up to 6 terms into at most 2
+    targets, so that renamed terms often collide."""
+    a, n = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    exps = st.tuples(*[st.integers(0, 2)] * a)
+    p = Poly(a, draw(st.dictionaries(exps, coeffs, max_size=6)))
+    return p, draw(tables(n, a)), n
+
+
+class TestRename:
+    @given(renamings())
+    def test_matches_reference_subs(self, case):
+        # x_j becomes y_table[j], or 0 for None: exponents renamed alike add
+        # up, terms that meet 0 vanish and colliding terms are summed
+        p, table, n = case
+        got = Poly._from_terms(n, _rename(p.terms, table, n))
+        args = [Poly.zero(n) if t is None else Poly.var(n, t) for t in table]
+        assert got == reference_subs(p, args, n)
+        assert_built(got, n)
+
+
 class TestTableMaps:
     """Coordinate maps built as their tables: compose, equality and checks."""
 
@@ -403,10 +440,14 @@ class TestTableMaps:
                     if x == y:
                         assert hashes[0] == hashes[1]
 
-    def test_picks_decoded_once_and_kept(self):
+    def test_component_built_map_holds_no_table(self):
+        # only coordinate_map, identity_map and zero_map hold a table; the
+        # same map built from components equals its table twin and hashes alike
         f = PolyMap(2, 3, (Y1, Poly.zero(2), Y0))
-        assert f.picks == (1, None, 0)
-        assert f.picks is f.picks
+        twin = coordinate_map(2, [1, None, 0])
+        assert f.picks is None
+        assert f == twin and twin == f
+        assert hash(f) == hash(twin)
         assert PolyMap(2, 1, (Y0.scale(2),)).picks is None
         assert PolyMap(2, 1, (Y0 + Y1,)).picks is None
 

@@ -371,7 +371,7 @@ class TestFibreMaps:
         paired = pair(coordinate_map(5, f), coordinate_map(5, g))
         assert paired.picks == expected
         monkeypatch.undo()
-        assert paired == oracle and oracle.picks == expected
+        assert paired == oracle and oracle.picks is None
         with pytest.raises(ValueError, match="disagree"):
             pair(coordinate_map(5, f), coordinate_map(5, [1] + g[1:]))
 
