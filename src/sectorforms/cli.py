@@ -10,8 +10,13 @@ A numeric argument below its range is the input error "bad-argument",
 found before any work; an error inside the library is not an input
 error and propagates as itself.
 
-The argument parser is built once per process and reused by every
+The argument parsers are built once per process and reused by every
 `main` call, since argparse keeps no state between `parse_args` calls.
+`main` reads argv once: a known command's own parser reads the
+arguments after the command name, and the top-level parser answers
+help, a missing or unknown command, and arguments the command does not
+recognize, with the same usage lines and exit codes as a parse through
+the top-level parser.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import sys
 
 from . import jsonio
 from .cohomology import SizeError, complex_report, sector_basis
-from .fincard import check_relations, classify, factor_map, factor_surjection
+from .fincard import GenWord, check_relations, classify, factor_map, factor_surjection
 from .jsonio import InputFormatError, JsonSyntaxError
 from .sector import (SectorForm, apply_cardinal_map, coface, exterior_derivative,
                      multilinearity_failures)
@@ -44,10 +49,12 @@ class CommandError(Exception):
         self.status = status
 
 
-def _emit(payload: dict | SectorForm, out_path: str | None, summary: str, status: int) -> int:
+def _emit(payload: dict | SectorForm | GenWord, out_path: str | None, summary: str,
+          status: int) -> int:
     """Write the report and its summary; returns status, or the input-error
     status after reporting on stdout that out_path cannot be written.
-    Forms go to `jsonio.dumps` as they are, which writes their wire format."""
+    Forms and words go to `jsonio.dumps` as they are, which writes their
+    wire formats."""
     text = jsonio.dumps(payload)
     if out_path:
         try:
@@ -169,7 +176,7 @@ def _cmd_factor(args) -> int:
         word = factor_surjection(fmap)
     else:
         word = factor_map(fmap)
-    return _emit(jsonio.genword_to_dict(word), args.out,
+    return _emit(word, args.out,
                  f"factored {fmap.dom}->{fmap.cod} map into {len(word)} generators", EXIT_OK)
 
 
@@ -228,53 +235,58 @@ def _cmd_sector_basis(args) -> int:
                  f"dimension {len(basis)}", EXIT_OK)
 
 
+# each command's own parser, by command name; filled once by `build_parser`
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; each command's parser also goes into `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="sectorforms",
         description="Exact sector-form calculus: verification sweeps, "
                     "factorization, operators, cohomology.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, fn, about):
+        p = _COMMANDS[name] = sub.add_parser(name, help=about)
+        p.set_defaults(fn=fn)
+        return p
+
     def common(p):
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("verify-relations", help="sweep the presentation relations")
+    p = command("verify-relations", _cmd_verify_relations, "sweep the presentation relations")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--cap-n", type=int, default=12, dest="cap_n")
     common(p)
-    p.set_defaults(fn=_cmd_verify_relations)
 
-    p = sub.add_parser("verify-axioms", help="check the tangent-structure axioms")
+    p = command("verify-axioms", _cmd_verify_axioms, "check the tangent-structure axioms")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--cap-dim", type=int, default=4, dest="cap_dim")
     p.add_argument("--cap-depth", type=int, default=5, dest="cap_depth")
     common(p)
-    p.set_defaults(fn=_cmd_verify_axioms)
 
-    p = sub.add_parser("factor", help="factor a map of finite cardinals into generators")
+    p = command("factor", _cmd_factor, "factor a map of finite cardinals into generators")
     p.add_argument("--in", required=True, dest="infile", help="FinMap JSON file")
     p.add_argument("--gens", choices=("surj", "full"), default="full")
     p.add_argument("--cap-n", type=int, default=64, dest="cap_n")
     common(p)
-    p.set_defaults(fn=_cmd_factor)
 
-    p = sub.add_parser("apply", help="act on a sector form by a map of cardinals")
+    p = command("apply", _cmd_apply, "act on a sector form by a map of cardinals")
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--map", required=True, help="FinMap JSON file")
     p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
     common(p)
-    p.set_defaults(fn=_cmd_apply)
 
-    p = sub.add_parser("derive", help="coface or full exterior derivative")
+    p = command("derive", _cmd_derive, "coface or full exterior derivative")
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--position", type=int, default=None)
     p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
     common(p)
-    p.set_defaults(fn=_cmd_derive)
 
-    p = sub.add_parser("derham", help="degree-bounded sector cohomology report")
+    p = command("derham", _cmd_derham, "degree-bounded sector cohomology report")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--levels", type=int, required=True)
@@ -283,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-levels", type=int, default=3, dest="cap_levels")
     p.add_argument("--max-candidates", type=int, default=20000, dest="max_candidates")
     common(p)
-    p.set_defaults(fn=_cmd_derham)
 
-    p = sub.add_parser("sector-basis", help="basis of degree-bounded sector forms")
+    p = command("sector-basis", _cmd_sector_basis, "basis of degree-bounded sector forms")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
@@ -294,13 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-levels", type=int, default=4, dest="cap_levels")
     p.add_argument("--max-candidates", type=int, default=20000, dest="max_candidates")
     common(p)
-    p.set_defaults(fn=_cmd_sector_basis)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # help, or a missing or unknown command: the parser exits
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:  # worded and exited as the top-level parse_args does
+            parser.error("unrecognized arguments: " + " ".join(extra))
     out = getattr(args, "out", None)
     try:
         _check_ranges(args)

@@ -227,51 +227,49 @@ def classify(f: FinMap) -> Classification:
     return Classification(surjective, bijective, order_preserving)
 
 
-def _permutation_word(perm: FinMap) -> list[Generator]:
-    """Decompose a permutation into adjacent transpositions by insertion sort.
+def _sorting_word(table: tuple[int, ...]) -> list[Generator]:
+    """The generators of `factor_surjection` for the surjection of a table
+    onto its image, on a plain list: sigmas sorting it, then codegeneracies.
 
-    Performing the swap at position j on the table turns u into sigma_j; u,
-    so the swaps recorded in application order spell the word for u itself.
+    A bubble sort that swaps only strictly greater neighbours never
+    reorders equal entries, so it makes the same swaps as a sort of the
+    ranks by (value, position), and no ranks are built.  Performing the
+    swap at position j on the table turns u into sigma_j; u, so the swaps
+    in application order spell the permutation word.
     """
-    n = perm.dom
-    table = list(perm.table)
+    n = len(table)
+    cur = list(table)
     word: list[Generator] = []
     for upper in range(n, 1, -1):
+        swapped = False
         for j in range(1, upper):
-            if table[j - 1] > table[j]:
-                table[j - 1], table[j] = table[j], table[j - 1]
+            if cur[j - 1] > cur[j]:
+                cur[j - 1], cur[j] = cur[j], cur[j - 1]
                 word.append(Generator(SIGMA, n, j))
-    return word
-
-
-def _monotone_surjection_word(table: list[int]) -> list[Generator]:
-    """Codegeneracy word for an order-preserving surjection, smallest index first."""
-    word: list[Generator] = []
-    cur = list(table)
-    while len(cur) > len(set(cur)):
-        j = next(x for x in range(1, len(cur)) if cur[x - 1] == cur[x])
-        word.append(Generator(EPSILON, len(cur) - 1, j))
-        del cur[j]
+                swapped = True
+        if not swapped:  # sorted: no later pass swaps either
+            break
+    k = 0
+    for p in range(1, n):
+        if cur[p - 1] == cur[p]:
+            k += 1
+            word.append(Generator(EPSILON, n - k, p - k + 1))
     return word
 
 
 def factor_surjection(f: FinMap) -> GenWord:
     """Factor a surjection as a permutation word followed by codegeneracies.
 
-    The permutation part sorts the table stably by (value, position); the
-    order-preserving part merges equal neighbours smallest index first.
-    The contract is the round trip eval_word(factor_surjection(f)) == f.
+    The permutation part sorts the table stably by (value, position).  The
+    order-preserving part merges equal neighbours smallest index first, in
+    closed form: the k-th repeated entry of the sorted table, at 0-based
+    position p, gives epsilon(dom - k, p - k + 1), since the k - 1 merges
+    before it all lie to its left.  The contract is the round trip
+    eval_word(factor_surjection(f)) == f.
     """
-    if not classify(f).surjective:
+    if len(set(f.table)) != f.cod:
         raise ValueError(f"{f!r} is not surjective")
-    order = sorted(range(1, f.dom + 1), key=lambda x: (f.table[x - 1], x))
-    rank = [0] * f.dom
-    for pos, x in enumerate(order, start=1):
-        rank[x - 1] = pos
-    perm = FinMap(f.dom, f.dom, tuple(rank))
-    word = _permutation_word(perm)
-    word.extend(_monotone_surjection_word(sorted(f.table)))
-    return GenWord(f.dom, f.cod, tuple(word))
+    return GenWord(f.dom, f.cod, tuple(_sorting_word(f.table)))
 
 
 def _coface_word(n: int, i: int) -> list[Generator]:
@@ -296,16 +294,16 @@ def factor_map(f: FinMap) -> GenWord:
 
     Splits f as a surjection onto its image followed by the monotone
     injection enumerating the image, then rewrites every coface through
-    the fundamental one.
+    the fundamental one.  The surjection's word depends only on the order
+    of the table's entries, so it is `_sorting_word` of f's own table.
     """
-    surj, missing = split_map(f)
-    word = list(factor_surjection(surj).gens)
+    word = _sorting_word(f.table)
+    hit = set(f.table)
+    missing = [v for v in range(1, f.cod + 1) if v not in hit]
     # Insert missing values top-down: the k-th smallest missing value m_k is
     # inserted at level cod-k with its index shifted by the k-1 smaller ones.
-    q = len(missing)
-    for k in range(q, 0, -1):
-        level = f.cod - k
-        word.extend(_coface_word(level, missing[k - 1] - (k - 1)))
+    for k in range(len(missing), 0, -1):
+        word.extend(_coface_word(f.cod - k, missing[k - 1] - (k - 1)))
     return GenWord(f.dom, f.cod, tuple(word))
 
 

@@ -12,9 +12,12 @@ sorted by exponent, arbitrary-precision integers as decimal strings.
 * SectorForm  {"n": ..., "m": ..., "k": ..., "body": PolyMap}
 * ComplexReport: a flat object of integer rank lists.
 
-`dumps` takes a `SectorForm` at the top of a payload, in a list or as a
-value of a string-keyed dict, and writes it exactly as `sectorform_to_dict`
-would render it, straight from its term dicts.
+`dumps` takes a `SectorForm` or a `GenWord` at the top of a payload, in
+a list or as a value of a string-keyed dict, and writes it exactly as its
+dict above would render, straight from its fields: a form's terms by one
+``%`` template per term, their exponent entries below 64 from a table of
+digit strings, and a word's generators by one template per generator.
+Every piece of a report goes into one list, which is joined once.
 """
 
 from __future__ import annotations
@@ -43,79 +46,138 @@ def dumps(payload) -> str:
     newline, so identical requests give byte-identical reports.
 
     The bytes are those of ``json.dumps(payload, indent=2) + "\n"`` with
-    each `SectorForm` in the payload (at the top, in a list or in a
-    string-keyed dict) replaced by its `sectorform_to_dict`; they are
-    written directly, since `json` renders an indented document with its
-    pure-Python encoder, and a form is written from its term dicts
-    without building that dict.
+    each `SectorForm` and `GenWord` in the payload (at the top, in a list
+    or in a string-keyed dict) replaced by its `sectorform_to_dict` or its
+    ``{"dom", "cod", "gens"}`` dict.  They are written directly, since
+    `json` renders an indented document with its pure-Python encoder:
+    every piece of the report goes into one list, joined once at the end,
+    and forms and words are written from their fields by cached templates,
+    without building their dicts.
     """
-    return _render(payload, "\n") + "\n"
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _render(value, nl: str) -> str:
-    """value as ``json.dumps(value, indent=2)`` writes it, each line break
-    written as nl (a newline and the current indentation)."""
+def _write(value, nl: str, out: list[str]) -> None:
+    """Append value as ``json.dumps(value, indent=2)`` writes it to out,
+    each line break written as nl (a newline and the current indentation)."""
     kind = type(value)
     if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = nl + "  "
-    if kind is list and value:
-        if set(map(type, value)) == {int}:  # exponent tuples: one join in C
-            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]"
-        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + nl + "]"
-    if kind is dict and value and set(map(type, value)) == {str}:
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in value.items()]
-        ) + nl + "}"
-    if kind is SectorForm:  # after the plain kinds, which reports hold far more of
-        return _render_form(value, nl)
-    # bool, None, floats, tuples, empty containers, other keys, subclasses
-    return json.dumps(value, indent=2).replace("\n", nl)
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list and value:
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("[" + inner)
+        for v in value:
+            _write(v, inner, out)
+            out.append(sep)
+        out[-1] = nl + "]"
+    elif kind is dict and value and set(map(type, value)) == {str}:
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("{" + inner)
+        for k, v in value.items():
+            out.append(encode_basestring_ascii(k) + ": ")
+            _write(v, inner, out)
+            out.append(sep)
+        out[-1] = nl + "}"
+    elif kind is SectorForm:  # after the plain kinds, which reports hold far more of
+        _write_form(value, nl, out)
+    elif kind is GenWord:
+        _write_word(value, nl, out)
+    else:  # bool, None, floats, tuples, empty containers, other keys, subclasses
+        out.append(json.dumps(value, indent=2).replace("\n", nl))
 
 
 @lru_cache(maxsize=64)
 def _form_layout(n: int, m: int, k: int, dom: int, cod: int, nl: str) -> tuple[str, ...]:
     """The fixed text of `sectorform_to_dict` of a form, rendered at line
-    break nl, around its terms: (head, the opening of a component, of its
-    terms, term separator, the end of the terms, the end of a component,
-    component separator, tail)."""
-    i1, i2, i3, i4, i5 = (nl + "  " * depth for depth in range(1, 6))
+    break nl: (head, the opening of a component and of its terms, one
+    term, term separator, the end of the terms and of a component, the
+    same for a component without terms, component separator, tail, and
+    the separator of a term's exponent entries).  A term's text has a
+    ``%s`` for its exponent entries and a ``%d`` for its numerator and
+    its denominator."""
+    i1, i2, i3, i4, i5, i6, i7 = (nl + "  " * depth for depth in range(1, 8))
+    component = "{" + i4 + f'"vars": {dom},' + i4 + '"terms": '
+    component_end = i3 + "}"
     return ("{" + i1 + f'"n": {n},' + i1 + f'"m": {m},' + i1 + f'"k": {k},' + i1 + '"body": {'
             + i2 + f'"dom": {dom},' + i2 + f'"cod": {cod},' + i2 + '"components": [' + i3,
-            "{" + i4 + f'"vars": {dom},' + i4 + '"terms": ',
-            "[" + i5,
+            component + "[" + i5,
+            "{" + i6 + '"exp": [' + i7 + "%s" + i6 + "]," + i6 + '"num": "%d",'
+            + i6 + '"den": "%d"' + i5 + "}",
             "," + i5,
-            i4 + "]",
-            i3 + "}",
+            i4 + "]" + component_end,
+            component + "[]" + component_end,
             "," + i3,
-            i2 + "]" + i1 + "}" + nl + "}")
+            i2 + "]" + i1 + "}" + nl + "}",
+            "," + i7)
 
 
-@lru_cache(maxsize=64)
-def _term_format(dom: int, nl: str) -> str:
-    """One term at line break nl, a ``%d`` for each of its dom exponents,
-    its numerator and its denominator."""
-    i5, i6, i7 = (nl + "  " * depth for depth in range(5, 8))
-    return ("{" + i6 + '"exp": [' + i7 + ("," + i7).join(["%d"] * dom) + i6 + "],"
-            + i6 + '"num": "%d",' + i6 + '"den": "%d"' + i5 + "}")
+# the text of each exponent entry below 64; an entry past it is written by `str`
+_DIGITS = tuple(map(str, range(64)))
 
 
-def _render_form(w: SectorForm, nl: str) -> str:
-    """`_render` of ``sectorform_to_dict(w)``, written from the term dicts:
-    terms sorted by exponent, each written by one ``%`` format."""
+def _write_form(w: SectorForm, nl: str, out: list[str]) -> None:
+    """Append `_write` of ``sectorform_to_dict(w)``, written from the term
+    dicts: terms sorted by exponent, each one piece, written by one ``%``
+    format around its exponent entries.  A form's exponents have at least
+    one entry, since m >= 1."""
     body = w.body
     layout = _form_layout(w.n, w.m, w.k, body.dom_dim, body.cod_dim, nl)
-    head, component, terms_open, terms_sep, terms_end, component_end, components_sep, tail = layout
-    term = "" if body.is_zero else _term_format(body.dom_dim, nl)  # a zero form's dom may be huge
-    comps = []
-    for comp in body.components:
-        texts = [term % (*exp, c.numerator, c.denominator)
-                 for exp, c in sorted(comp.terms.items())]  # exponents are distinct
-        terms = terms_open + terms_sep.join(texts) + terms_end if texts else "[]"
-        comps.append(component + terms + component_end)
-    return head + components_sep.join(comps) + tail
+    head, terms_open, term, terms_sep, terms_end, no_terms, components_sep, tail, entry_sep = layout
+    digits = _DIGITS
+    out.append(head)
+    for comp in body.components:  # a form has at least one
+        if not comp.terms:
+            out.append(no_terms)
+            out.append(components_sep)
+            continue
+        out.append(terms_open)
+        for exp, c in sorted(comp.terms.items()):  # exponents are distinct
+            try:
+                entries = entry_sep.join([digits[e] for e in exp])  # entries are >= 0
+            except IndexError:
+                entries = entry_sep.join(map(str, exp))
+            out.append(term % (entries, c.numerator, c.denominator))
+            out.append(terms_sep)
+        out[-1] = terms_end
+        out.append(components_sep)
+    out[-1] = tail
+
+
+@lru_cache(maxsize=16)
+def _word_layout(nl: str) -> tuple[str, ...]:
+    """The text of a `GenWord` at line break nl: (head, a ``%d`` for dom
+    and for cod; the opening of its generators; one generator, a ``%s``
+    for its kind and a ``%d`` for n and for i; generator separator; the
+    end of the generators; the end of a word without generators)."""
+    i1, i2, i3 = (nl + "  " * depth for depth in range(1, 4))
+    return ("{" + i1 + '"dom": %d,' + i1 + '"cod": %d,' + i1 + '"gens": ',
+            "[" + i2,
+            "{" + i3 + '"kind": "%s",' + i3 + '"n": %d,' + i3 + '"i": %d' + i2 + "}",
+            "," + i2,
+            i1 + "]" + nl + "}",
+            "[]" + nl + "}")
+
+
+def _write_word(w: GenWord, nl: str, out: list[str]) -> None:
+    """Append ``{"dom", "cod", "gens": [{"kind", "n", "i"}, ...]}`` of w,
+    written from its fields; generator kinds are plain ASCII names."""
+    head, gens_open, gen, gens_sep, gens_end, no_gens = _word_layout(nl)
+    out.append(head % (w.dom, w.cod))
+    if not w.gens:
+        out.append(no_gens)
+        return
+    out.append(gens_open)
+    for g in w.gens:
+        out.append(gen % (g.kind, g.n, g.i))
+        out.append(gens_sep)
+    out[-1] = gens_end
 
 
 def _expect(payload, key, kind):
@@ -137,13 +199,6 @@ def finmap_from_dict(payload: dict) -> FinMap:
         return FinMap(dom, cod, tuple(table))
     except (TypeError, ValueError) as err:
         raise InputFormatError(str(err)) from None
-
-
-# -- GenWord ------------------------------------------------------------
-
-def genword_to_dict(w: GenWord) -> dict:
-    return {"dom": w.dom, "cod": w.cod,
-            "gens": [{"kind": g.kind, "n": g.n, "i": g.i} for g in w.gens]}
 
 
 # -- Poly / PolyMap -------------------------------------------------------

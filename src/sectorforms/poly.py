@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction | int
@@ -128,14 +129,8 @@ class Poly:
             return self.scale(other)
         self._check(other)
         terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    terms.pop(exp, None)
+        _add_terms(terms, [(tuple(map(add, e1, e2)), c1 * c2)
+                           for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()])
         return Poly._from_terms(self.nvars, terms)
 
     def __rmul__(self, other) -> "Poly":

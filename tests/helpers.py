@@ -8,6 +8,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
 from sectorforms.fincard import (
+    DELTA,
     EPSILON,
     RELATION_FAMILIES,
     SIGMA,
@@ -18,8 +19,10 @@ from sectorforms.fincard import (
     RelationReport,
     _relation_instances,
     compose as fc_compose,
+    classify,
     generator_map,
     identity,
+    split_map,
 )
 from sectorforms.cohomology import ComplexReport, sector_basis, singular_basis
 from sectorforms.jsonio import sectorform_to_dict
@@ -46,20 +49,44 @@ from sectorforms.tangent import (
 
 def reference_dumps(payload):
     """The canonical report bytes as `json` writes them, each `SectorForm`
-    passed through `sectorform_to_dict` first: the oracle of `jsonio.dumps`."""
+    and `GenWord` passed through `sectorform_to_dict` or `genword_to_dict`
+    first: the oracle of `jsonio.dumps`."""
     return json.dumps(forms_as_dicts(payload), indent=2) + "\n"
 
 
 def forms_as_dicts(value):
-    """value with every `SectorForm` in it, at any depth, replaced by its
-    `sectorform_to_dict`; tuples become lists, which `json` writes alike."""
+    """value with every `SectorForm` and `GenWord` in it, at any depth,
+    replaced by its dict; tuples become lists, which `json` writes alike."""
     if isinstance(value, SectorForm):
         return sectorform_to_dict(value)
+    if isinstance(value, GenWord):
+        return genword_to_dict(value)
     if isinstance(value, (list, tuple)):
         return [forms_as_dicts(v) for v in value]
     if isinstance(value, dict):
         return {k: forms_as_dicts(v) for k, v in value.items()}
     return value
+
+
+def genword_to_dict(w):
+    """The GenWord wire format, {"dom", "cod", "gens": [{"kind", "n", "i"}, ...]}."""
+    return {"dom": w.dom, "cod": w.cod,
+            "gens": [{"kind": g.kind, "n": g.n, "i": g.i} for g in w.gens]}
+
+
+def reference_mul(p, q):
+    """The product of two polynomials in the same variables, summed one
+    term at a time from a zero `Fraction`: the oracle of `Poly.__mul__`."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(exp, Fraction(0)) + c1 * c2
+            if s:
+                terms[exp] = s
+            else:
+                terms.pop(exp, None)
+    return Poly._from_terms(p.nvars, terms)
 
 
 def finmap_payload(f):
@@ -154,6 +181,62 @@ def random_surjection(rng, dom, cod):
     entries = list(range(1, cod + 1)) + [rng.randint(1, cod) for _ in range(dom - cod)]
     rng.shuffle(entries)
     return FinMap(dom, cod, tuple(entries))
+
+
+# -- reference factorization -------------------------------------------------
+#
+# `factor_surjection` and `factor_map` sort the table itself and write the
+# codegeneracies in closed form; these rank the table, decompose the rank
+# permutation and merge equal neighbours one at a time.  Their words are
+# the CLI's `factor` bytes, so the two must agree word for word.
+
+def _permutation_word(perm):
+    """Decompose a permutation into adjacent transpositions by insertion sort."""
+    n = perm.dom
+    table = list(perm.table)
+    word = []
+    for upper in range(n, 1, -1):
+        for j in range(1, upper):
+            if table[j - 1] > table[j]:
+                table[j - 1], table[j] = table[j], table[j - 1]
+                word.append(Generator(SIGMA, n, j))
+    return word
+
+
+def _monotone_surjection_word(table):
+    """Codegeneracy word for an order-preserving surjection, smallest index first."""
+    word = []
+    cur = list(table)
+    while len(cur) > len(set(cur)):
+        j = next(x for x in range(1, len(cur)) if cur[x - 1] == cur[x])
+        word.append(Generator(EPSILON, len(cur) - 1, j))
+        del cur[j]
+    return word
+
+
+def reference_factor_surjection(f):
+    """A permutation word sorting the table by (value, position), then codegeneracies."""
+    if not classify(f).surjective:
+        raise ValueError(f"{f!r} is not surjective")
+    order = sorted(range(1, f.dom + 1), key=lambda x: (f.table[x - 1], x))
+    rank = [0] * f.dom
+    for pos, x in enumerate(order, start=1):
+        rank[x - 1] = pos
+    word = _permutation_word(FinMap(f.dom, f.dom, tuple(rank)))
+    word.extend(_monotone_surjection_word(sorted(f.table)))
+    return GenWord(f.dom, f.cod, tuple(word))
+
+
+def reference_factor_map(f):
+    """The surjection onto the image, then each missing value's coface as
+    delta_1 and a sigma cycle, the largest missing value first."""
+    surj, missing = split_map(f)
+    word = list(reference_factor_surjection(surj).gens)
+    for k in range(len(missing), 0, -1):
+        level, i = f.cod - k, missing[k - 1] - (k - 1)
+        word.append(Generator(DELTA, level, 1))
+        word.extend(Generator(SIGMA, level + 1, j) for j in range(1, i))
+    return GenWord(f.dom, f.cod, tuple(word))
 
 
 def randomized_factorization(rng, u):

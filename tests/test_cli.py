@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -616,6 +619,94 @@ class TestReusedParser:
         capsys.readouterr()
         code, payload, _ = run(capsys, "derham", "--dim", "1", "--deg", "1", "--levels", "1")
         assert code == 0 and payload["H"] == [1, 0]
+
+
+TOP_USAGE = ("usage: sectorforms [-h]\n"
+             "                   {verify-relations,verify-axioms,factor,apply,derive,derham,"
+             "sector-basis}\n"
+             "                   ...\n")
+COMMANDS = "'verify-relations', 'verify-axioms', 'factor', 'apply', 'derive', 'derham', 'sector-basis'"
+
+
+class TestUsage:
+    """What argparse prints and exits with on help and usage errors, pinned
+    at an 80-column terminal.  The help texts are pinned by sha256 of stdout."""
+
+    @pytest.mark.parametrize("argv, status, err, digest", [
+        ([], 2, TOP_USAGE + "sectorforms: error: the following arguments are required: command\n",
+         None),
+        (["-h"], 0, "", "08ec22fc5786e5f9960889df16958546ca758f3518087926733643545a985f44"),
+        (["frobnicate"], 2, TOP_USAGE + "sectorforms: error: argument command: invalid choice: "
+         f"'frobnicate' (choose from {COMMANDS})\n", None),
+        (["--", "factor"], 2, TOP_USAGE + "sectorforms: error: argument command: invalid choice: "
+         f"'--' (choose from {COMMANDS})\n", None),
+        (["factor"], 2, "usage: sectorforms factor [-h] --in INFILE [--gens {surj,full}]\n"
+         "                          [--cap-n CAP_N] [--out OUT]\n"
+         "sectorforms factor: error: the following arguments are required: --in\n", None),
+        (["factor", "--in", "x.json", "--bogus"], 2,
+         TOP_USAGE + "sectorforms: error: unrecognized arguments: --bogus\n", None),
+        (["derive", "-h"], 0, "", "34fcc4094ecf48c7ba76dcb198383e809913213dc7ecd7e315e31fccd3b8fa40"),
+        (["factor", "--h"], 0, "", "03b19d210194e13b7356be50cc40520a00ada69406e39e95a43b840fdcd0cf9d"),
+    ], ids=["none", "help", "unknown", "dashes", "missing-option", "unrecognized",
+            "command-help", "abbreviated-help"])
+    def test_pinned(self, capsys, monkeypatch, argv, status, err, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == status
+        assert captured.err == err
+        if digest is None:
+            assert captured.out == ""
+        else:
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    def test_known_command_skips_the_top_level_parse(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the top-level parser read a known command's arguments")
+
+        monkeypatch.setattr(build_parser(), "parse_args", never)
+        path = write_json(tmp_path, "map.json", finmap_payload(FinMap(3, 2, (2, 1, 1))))
+        code, payload, _ = run(capsys, "factor", "--in", path, "--gens", "surj")
+        assert code == 0 and payload["dom"] == 3
+        with pytest.raises(SystemExit):  # unrecognized arguments still exit through the parser
+            main(["factor", "--in", path, "--bogus"])
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus\n")
+
+    def test_none_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "map.json", finmap_payload(FinMap(1, 2, (1,))))
+        monkeypatch.setattr(sys, "argv", ["sectorforms", "factor", "--in", path])
+        assert main() == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [g["kind"] for g in payload["gens"]] == ["delta", "sigma"]
+
+
+class TestEntryPoint:
+    """`python -m sectorforms.cli` in a fresh interpreter, where `main`
+    reads its arguments from `sys.argv`."""
+
+    @staticmethod
+    def launch(*argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "sectorforms.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_factor_writes_the_in_process_bytes(self, tmp_path, capsys):
+        path = write_json(tmp_path, "map.json", finmap_payload(FinMap(4, 3, (3, 1, 3, 2))))
+        out = tmp_path / "out.json"
+        proc = self.launch("factor", "--in", path, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        assert main(["factor", "--in", path]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, status", [((), 2), (("-h",), 0)], ids=["none", "help"])
+    def test_usage_exits(self, argv, status):
+        proc = self.launch(*argv)
+        assert proc.returncode == status
+        assert (proc.stdout if status == 0 else proc.stderr).startswith("usage: sectorforms")
 
 
 def test_internal_value_error_propagates(capsys, monkeypatch):

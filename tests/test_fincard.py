@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_maps, all_surjections, reference_check_relations, sigma_cycle_word
+from helpers import (all_maps, all_surjections, reference_check_relations, reference_factor_map,
+                     reference_factor_surjection, sigma_cycle_word)
 from sectorforms.fincard import (
     DELTA,
     EPSILON,
@@ -301,6 +302,13 @@ class TestFactorSurjection:
             f = random_surjection(rng, dom, cod)
             assert eval_word(factor_surjection(f)) == f
 
+    def test_words_equal_the_reference(self):
+        # the round trip would pass any valid word; the CLI writes this one
+        for dom in range(0, 7):
+            for cod in range(0, dom + 1):
+                for f in all_surjections(dom, cod):
+                    assert factor_surjection(f) == reference_factor_surjection(f)
+
     @given(surjections())
     def test_round_trip_property(self, f):
         word = factor_surjection(f)
@@ -337,6 +345,12 @@ class TestFactorMap:
             for cod in range(0, 5):
                 for f in all_maps(dom, cod):
                     assert eval_word(factor_map(f)) == f
+
+    def test_words_equal_the_reference(self):
+        for dom in range(0, 6):
+            for cod in range(0, 6):
+                for f in all_maps(dom, cod):
+                    assert factor_map(f) == reference_factor_map(f)
 
     def test_empty_domain(self):
         f = FinMap(0, 3, ())

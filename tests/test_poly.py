@@ -19,7 +19,7 @@ from sectorforms.poly import (
 from sectorforms.sector import coface, exterior_derivative
 from sectorforms.tangent import tangent_of_map
 
-from helpers import random_sector_form
+from helpers import random_sector_form, reference_mul
 
 F = Fraction
 Y0, Y1 = Poly.var(2, 0), Poly.var(2, 1)
@@ -279,6 +279,38 @@ def coordinate_cases(draw, coordinates_only):
 
 def term_dicts(h):
     return [dict(p.terms) for p in h.components]
+
+
+@st.composite
+def product_pairs(draw):
+    """(p, q) in 1..3 variables, or, half the time, (a + b, a - b) for
+    a and b of disjoint support, whose cross terms a*b - b*a cancel."""
+    nvars = draw(st.integers(1, 3))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    if draw(st.booleans()):
+        p, q = (Poly(nvars, draw(st.dictionaries(exps, coeffs, max_size=4))) for _ in range(2))
+        return p, q
+    terms = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=5))
+    cut = draw(st.integers(1, len(terms) - 1))
+    items = list(terms.items())
+    a, b = Poly(nvars, dict(items[:cut])), Poly(nvars, dict(items[cut:]))
+    return a + b, a - b
+
+
+class TestProduct:
+    @given(product_pairs())
+    def test_equals_the_term_by_term_sum(self, pair):
+        p, q = pair
+        product = p * q
+        assert product == reference_mul(p, q)
+        assert_built(product, p.nvars)
+
+    def test_cross_terms_cancel(self):
+        x, y = Poly.var(2, 0), Poly.var(2, 1)
+        product = (x + y) * (x - y)
+        assert product == reference_mul(x + y, x - y) == x * x - y * y
+        assert (1, 1) not in product.terms
 
 
 class TestPickPath:

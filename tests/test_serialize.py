@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finmap_payload, random_sector_form, reference_dumps
-from sectorforms.fincard import CompositionError, FinMap, GenWord, Generator, factor_map
+from helpers import finmap_payload, genword_to_dict, random_sector_form, reference_dumps
+from sectorforms.fincard import (CompositionError, FinMap, GenWord, Generator, factor_map,
+                                 factor_surjection)
 from sectorforms.jsonio import (
     InputFormatError,
     JsonSyntaxError,
     dumps,
     finmap_from_dict,
-    genword_to_dict,
     load_json_file,
     poly_from_dict,
     poly_to_dict,
@@ -51,7 +51,7 @@ class TestGenWordJson:
     def test_round_trip(self):
         # the payload names every generator and both endpoints
         w = factor_map(FinMap(2, 3, (3, 1)))
-        payload = json.loads(dumps(genword_to_dict(w)))
+        payload = json.loads(dumps(w))
         gens = tuple(Generator(g["kind"], g["n"], g["i"]) for g in payload["gens"])
         assert GenWord(payload["dom"], payload["cod"], gens) == w
 
@@ -223,4 +223,49 @@ class TestCanonicalWriter:
     def test_form_equals_its_dict(self, name):
         w = EDGE_FORMS[name]
         for payload in (w, [w], basis_payload([w, w]), {"x": [[w]]}):
+            assert dumps(payload) == reference_dumps(payload)
+
+
+@st.composite
+def factor_words(draw):
+    """`factor_map` of a map with dom 0..10, or `factor_surjection` of its
+    surjection onto its image, listed 1..k in order of first appearance."""
+    dom = draw(st.integers(0, 10))
+    cod = draw(st.integers(1 if dom else 0, 10))
+    table = tuple(draw(st.lists(st.integers(1, cod), min_size=dom, max_size=dom))) if cod else ()
+    if draw(st.booleans()):
+        return factor_map(FinMap(dom, cod, table))
+    first = {v: k for k, v in enumerate(dict.fromkeys(table), start=1)}
+    return factor_surjection(FinMap(dom, len(first), tuple(first[v] for v in table)))
+
+
+@st.composite
+def wide_entry_forms(draw):
+    """Forms on R^1 or R^2 of degree 0..2 whose exponent entries run past
+    the writer's digit table (64 up to 10^6), with 30-digit negative
+    numerators."""
+    n, m, k = draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    size = m << n
+    entries = st.one_of(st.integers(0, 70), st.integers(64, 10 ** 6))
+    exps = st.lists(entries, min_size=size, max_size=size).map(tuple)
+    nums = st.integers(-(10 ** 30) + 1, -(10 ** 29))
+    coeffs = st.builds(F, nums, st.integers(1, 10 ** 6))
+    comps = tuple(Poly(size, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
+                  for _ in range(k))
+    return SectorForm(n, m, k, PolyMap(size, k, comps))
+
+
+class TestWrittenFromFields:
+    """Words and forms are written from their fields, not their dicts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_words())
+    def test_factor_words_equal_their_dicts(self, word):
+        for payload in (word, [word], {"word": word}):
+            assert dumps(payload) == reference_dumps(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_entry_forms())
+    def test_entries_past_the_digit_table(self, form):
+        for payload in (form, basis_payload([form])):
             assert dumps(payload) == reference_dumps(payload)
