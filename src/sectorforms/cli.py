@@ -26,8 +26,8 @@ import functools
 import sys
 
 from . import jsonio
-from .cohomology import SizeError, complex_report, sector_basis
-from .fincard import GenWord, check_relations, classify, factor_map, factor_surjection
+from .cohomology import SizeError, complex_report, partition_basis
+from .fincard import GenWord, check_relations, factor_map, factor_surjection
 from .jsonio import InputFormatError, JsonSyntaxError
 from .sector import (SectorForm, apply_cardinal_map, coface, exterior_derivative,
                      multilinearity_failures)
@@ -171,7 +171,7 @@ def _cmd_factor(args) -> int:
     _guard(fmap.dom, args.cap_n, "dom")
     _guard(fmap.cod, args.cap_n, "cod")
     if args.gens == "surj":
-        if not classify(fmap).surjective:
+        if len(set(fmap.table)) != fmap.cod:
             raise CommandError("invalid-input", "map is not surjective; use --gens full")
         word = factor_surjection(fmap)
     else:
@@ -224,7 +224,7 @@ def _cmd_sector_basis(args) -> int:
     _guard(args.dim, args.cap_dim, "dim")
     _guard(args.deg, args.cap_deg, "deg")
     _guard(args.n, args.cap_levels, "n")
-    basis = sector_basis(args.n, args.dim, args.deg, args.max_candidates)
+    basis = partition_basis(args.n, args.dim, args.deg, args.max_candidates)
     payload = {
         "n": args.n, "m": args.dim, "d": args.deg,
         "dimension": len(basis),

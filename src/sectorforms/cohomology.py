@@ -3,7 +3,9 @@
 `sector_basis` returns the partition monomials: a base monomial of
 bounded degree times one tangent coordinate per block of a set partition
 of the tangent levels.  Linearity in each level forces exactly this
-shape, so the monomials are a basis and no equations are solved.
+shape, so the monomials are a basis and no equations are solved;
+`partition_basis` holds the same basis as its base exponents and
+tangent parts, for writers that need no form object.
 `singular_basis` writes down the alternating (singular) forms as the
 images of the polynomial de Rham forms (docs/coordinate-layout.md,
 "Alternating forms are de Rham forms").  `complex_report` assembles the
@@ -46,29 +48,36 @@ def _touchard(n: int, m: int) -> int:
     return t[n]
 
 
-def sector_candidates(n: int, m: int, d: int) -> list[Poly]:
-    """The partition monomials of sector n-forms on R^m at coefficient bound d.
-
-    Each is a base monomial of degree <= d times one tangent coordinate
-    (j, S) per block S of a set partition of the levels 1..n.  The
-    blocks grow level by level: level l joins an existing block, which
-    adds m << (l-1) to its flat index mask(S)*m + j-1, or opens a new
-    block (j, {l}).  Order: base exponents, then these shapes.
-    """
+def _partition_tails(n: int, m: int) -> list[tuple[int, ...]]:
+    """The tangent entries m..(m << n)-1 of the partition monomials of
+    degree n on R^m, one tuple per shape: a 1 at the flat index
+    (j, S) -> mask(S)*m + j-1 of each block.  The blocks grow level by
+    level: level l joins an existing block, which adds m << (l-1) to its
+    flat index, or opens a new block (j, {l})."""
     shapes = [()]
     for level in range(n):
         step = m << level
         shapes = ([s[:k] + (s[k] + step,) + s[k + 1:] for s in shapes for k in range(len(s))]
                   + [s + (step + j,) for s in shapes for j in range(m)])
-    size = m << n
-    candidates = []
-    for base in _base_exponents(m, d):
-        for shape in shapes:
-            exp = list(base) + [0] * (size - m)
-            for flat in shape:
-                exp[flat] = 1
-            candidates.append(Poly._from_terms(size, {tuple(exp): _ONE}))
-    return candidates
+    tails = []
+    for shape in shapes:
+        tail = [0] * ((m << n) - m)
+        for flat in shape:
+            tail[flat - m] = 1
+        tails.append(tuple(tail))
+    return tails
+
+
+def sector_candidates(n: int, m: int, d: int) -> list[tuple[int, ...]]:
+    """The exponents of the partition monomials of sector n-forms on R^m
+    at coefficient bound d.
+
+    Each is a base monomial of degree <= d times one tangent coordinate
+    (j, S) per block S of a set partition of the levels 1..n.  Order:
+    base exponents, then the shapes of `_partition_tails`.
+    """
+    tails = _partition_tails(n, m)
+    return [base + tail for base in _base_exponents(m, d) for tail in tails]
 
 
 def sector_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[SectorForm]:
@@ -81,7 +90,30 @@ def sector_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[Se
     anything is built.
     """
     _guard_sector_count(n, m, d, max_candidates)
-    return [SectorForm._from_components(n, m, (c,)) for c in sector_candidates(n, m, d)]
+    size = m << n
+    return [SectorForm._from_components(n, m, (Poly._from_terms(size, {exp: _ONE}),))
+            for exp in sector_candidates(n, m, d)]
+
+
+@dataclass(frozen=True)
+class PartitionBasis:
+    """The basis `sector_basis(n, m, d)` as its two factors, with no form
+    built: form i*len(tails) + j is the monomial with the exponent
+    ``bases[i] + tails[j]``."""
+
+    n: int
+    m: int
+    bases: tuple[tuple[int, ...], ...]
+    tails: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.bases) * len(self.tails)
+
+
+def partition_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> PartitionBasis:
+    """`sector_basis(n, m, d)` by its factors, behind the same guard."""
+    _guard_sector_count(n, m, d, max_candidates)
+    return PartitionBasis(n, m, tuple(_base_exponents(m, d)), tuple(_partition_tails(n, m)))
 
 
 def _guard_sector_count(n: int, m: int, d: int, max_candidates: int) -> None:
@@ -170,18 +202,17 @@ class ComplexReport:
         return ok and all(h >= 0 for h in self.cohomology + self.singular_cohomology)
 
 
-def _level_ranks(basis: list[SectorForm], m: int, d: int) -> tuple[int, int, int, bool]:
+def _level_ranks(n: int, comps: list[Poly], m: int, d: int) -> tuple[int, int, int, bool]:
     """(forms of base degree <= d, the rank of their boundary, the rank of
-    the boundary on the whole basis, d∘d vanishes on it).  The scalar forms
-    are stacked as the components of one form, so d and d∘d are one
-    `exterior_derivative` call each; component i of d is the row of form i."""
-    if not basis:
+    the boundary on the whole basis, d∘d vanishes on it) for the basis of
+    n-forms with the scalar bodies comps.  They are stacked as the
+    components of one form, so d and d∘d are one `exterior_derivative`
+    call each; component i of d is the row of form i."""
+    if not comps:
         return 0, 0, 0, True
-    stack = SectorForm._from_components(basis[0].n, m, tuple(w.body.components[0] for w in basis))
-    dstack = exterior_derivative(stack)
+    dstack = exterior_derivative(SectorForm._from_components(n, m, tuple(comps)))
     rows = [c.terms for c in dstack.body.components]
-    low = [row for row, w in zip(rows, basis)
-           if sum(next(iter(w.body.components[0].terms))[:m]) <= d]
+    low = [row for row, c in zip(rows, comps) if sum(next(iter(c.terms))[:m]) <= d]
     r = rank(low)
     whole = r if len(low) == len(rows) else rank(rows)
     return len(low), r, whole, exterior_derivative(dstack).is_zero
@@ -195,7 +226,8 @@ def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> C
     throughout; the boundary-squares-to-zero flag is a hard check on
     every basis element encountered.  Past the guards, each level's two
     bases are built once, at d+1 below the top level, and differentiated
-    as stacked forms; below level 2 they are one basis.
+    as stacked forms, the sector basis straight from its exponents; below
+    level 2 they are one basis.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
@@ -207,10 +239,13 @@ def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> C
     full, singular = [], []
     for nu in range(n_max + 1):
         bound = d + 1 if nu < n_max else d
-        full.append(_level_ranks(sector_basis(nu, m, bound, max_candidates), m, d))
+        size = m << nu
+        full.append(_level_ranks(nu, [Poly._from_terms(size, {exp: _ONE})
+                                      for exp in sector_candidates(nu, m, bound)], m, d))
         # below level 2 every partition monomial is alternating, in the same order
-        singular.append(full[-1] if nu < 2 else
-                        _level_ranks(singular_basis(nu, m, bound, max_candidates), m, d))
+        singular.append(full[-1] if nu < 2 else _level_ranks(
+            nu, [w.body.components[0] for w in singular_basis(nu, m, bound, max_candidates)],
+            m, d))
 
     columns = []  # in field order: dims, kernels, ranks, raised, then H, for each complex
     for levels in (full, singular):

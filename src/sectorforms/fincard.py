@@ -27,6 +27,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 EPSILON = "epsilon"
@@ -133,6 +134,14 @@ class Generator:
 
     def __repr__(self):
         return f"{self.kind}({self.n},{self.i})"
+
+
+@lru_cache(maxsize=4096)
+def _generator(kind: str, n: int, i: int) -> Generator:
+    """The generator (kind, n, i), validated once and shared by the words
+    that use it; an invalid triple raises on every call, as nothing is
+    kept for it."""
+    return Generator(kind, n, i)
 
 
 def generator_map(g: Generator) -> FinMap:
@@ -245,7 +254,7 @@ def _sorting_word(table: tuple[int, ...]) -> list[Generator]:
         for j in range(1, upper):
             if cur[j - 1] > cur[j]:
                 cur[j - 1], cur[j] = cur[j], cur[j - 1]
-                word.append(Generator(SIGMA, n, j))
+                word.append(_generator(SIGMA, n, j))
                 swapped = True
         if not swapped:  # sorted: no later pass swaps either
             break
@@ -253,7 +262,7 @@ def _sorting_word(table: tuple[int, ...]) -> list[Generator]:
     for p in range(1, n):
         if cur[p - 1] == cur[p]:
             k += 1
-            word.append(Generator(EPSILON, n - k, p - k + 1))
+            word.append(_generator(EPSILON, n - k, p - k + 1))
     return word
 
 
@@ -274,8 +283,8 @@ def factor_surjection(f: FinMap) -> GenWord:
 
 def _coface_word(n: int, i: int) -> list[Generator]:
     """delta_i at level n through the fundamental coface: delta_1 then a sigma cycle."""
-    word = [Generator(DELTA, n, 1)]
-    word.extend(Generator(SIGMA, n + 1, j) for j in range(1, i))
+    word = [_generator(DELTA, n, 1)]
+    word.extend(_generator(SIGMA, n + 1, j) for j in range(1, i))
     return word
 
 

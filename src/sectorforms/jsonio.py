@@ -17,6 +17,8 @@ a list or as a value of a string-keyed dict, and writes it exactly as its
 dict above would render, straight from its fields: a form's terms by one
 ``%`` template per term, their exponent entries below 64 from a table of
 digit strings, and a word's generators by one template per generator.
+A `PartitionBasis` there is written as the list of its forms, each by
+one ``%`` of a per-(n, m) form text around its base and tangent texts.
 Every piece of a report goes into one list, which is joined once.
 """
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .cohomology import ComplexReport
+from .cohomology import ComplexReport, PartitionBasis
 from .fincard import FinMap, GenWord, RelationReport
 from .poly import Poly, PolyMap
 from .sector import SectorForm
@@ -48,7 +50,8 @@ def dumps(payload) -> str:
     The bytes are those of ``json.dumps(payload, indent=2) + "\n"`` with
     each `SectorForm` and `GenWord` in the payload (at the top, in a list
     or in a string-keyed dict) replaced by its `sectorform_to_dict` or its
-    ``{"dom", "cod", "gens"}`` dict.  They are written directly, since
+    ``{"dom", "cod", "gens"}`` dict, and each `PartitionBasis` by the list
+    of `sectorform_to_dict` of its forms.  They are written directly, since
     `json` renders an indented document with its pure-Python encoder:
     every piece of the report goes into one list, joined once at the end,
     and forms and words are written from their fields by cached templates,
@@ -89,6 +92,8 @@ def _write(value, nl: str, out: list[str]) -> None:
         _write_form(value, nl, out)
     elif kind is GenWord:
         _write_word(value, nl, out)
+    elif kind is PartitionBasis:
+        _write_basis(value, nl, out)
     else:  # bool, None, floats, tuples, empty containers, other keys, subclasses
         out.append(json.dumps(value, indent=2).replace("\n", nl))
 
@@ -148,6 +153,38 @@ def _write_form(w: SectorForm, nl: str, out: list[str]) -> None:
         out[-1] = terms_end
         out.append(components_sep)
     out[-1] = tail
+
+
+@lru_cache(maxsize=64)
+def _monomial_layout(n: int, m: int, nl: str) -> tuple[str, str]:
+    """(the text of a partition monomial of degree n on R^m at line
+    break nl, with a ``%s`` for its base entries and one for its tangent
+    entries, each tangent entry led by its separator; the separator of
+    exponent entries)."""
+    size = m << n
+    head, terms_open, term, _, terms_end, _, _, tail, entry_sep = _form_layout(
+        n, m, 1, size, 1, nl)
+    return head + terms_open + term % ("%s%s", 1, 1) + terms_end + tail, entry_sep
+
+
+def _write_basis(b: PartitionBasis, nl: str, out: list[str]) -> None:
+    """Append `_write` of the list of ``sectorform_to_dict`` of the forms
+    of b, in their order: one text per base exponent and per tangent
+    part, and one ``%`` of the monomial text per form."""
+    if not len(b):
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    form, entry_sep = _monomial_layout(b.n, b.m, inner)
+    bases = [entry_sep.join(map(str, base)) for base in b.bases]
+    tails = ["".join([entry_sep + str(e) for e in tail]) for tail in b.tails]
+    out.append("[" + inner)
+    for base in bases:
+        for tail in tails:
+            out.append(form % (base, tail))
+            out.append(sep)
+    out[-1] = nl + "]"
 
 
 @lru_cache(maxsize=16)

@@ -24,7 +24,7 @@ from sectorforms.fincard import (
     identity,
     split_map,
 )
-from sectorforms.cohomology import ComplexReport, sector_basis, singular_basis
+from sectorforms.cohomology import ComplexReport, PartitionBasis, sector_basis, singular_basis
 from sectorforms.jsonio import sectorform_to_dict
 from sectorforms.linalg import _sub_scaled
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
@@ -50,22 +50,34 @@ from sectorforms.tangent import (
 def reference_dumps(payload):
     """The canonical report bytes as `json` writes them, each `SectorForm`
     and `GenWord` passed through `sectorform_to_dict` or `genword_to_dict`
-    first: the oracle of `jsonio.dumps`."""
+    first, and each `PartitionBasis` through `partition_basis_forms`: the
+    oracle of `jsonio.dumps`."""
     return json.dumps(forms_as_dicts(payload), indent=2) + "\n"
 
 
 def forms_as_dicts(value):
-    """value with every `SectorForm` and `GenWord` in it, at any depth,
-    replaced by its dict; tuples become lists, which `json` writes alike."""
+    """value with every `SectorForm`, `GenWord` and `PartitionBasis` in
+    it, at any depth, replaced by its dict or its list of form dicts;
+    tuples become lists, which `json` writes alike."""
     if isinstance(value, SectorForm):
         return sectorform_to_dict(value)
     if isinstance(value, GenWord):
         return genword_to_dict(value)
+    if isinstance(value, PartitionBasis):
+        return [sectorform_to_dict(w) for w in partition_basis_forms(value)]
     if isinstance(value, (list, tuple)):
         return [forms_as_dicts(v) for v in value]
     if isinstance(value, dict):
         return {k: forms_as_dicts(v) for k, v in value.items()}
     return value
+
+
+def partition_basis_forms(b):
+    """The forms of a `PartitionBasis`, validated, in its order: each base
+    exponent, then each tangent part on it."""
+    size = b.m << b.n
+    return [SectorForm(b.n, b.m, 1, PolyMap(size, 1, (Poly(size, {base + tail: Fraction(1)}),)))
+            for base in b.bases for tail in b.tails]
 
 
 def genword_to_dict(w):

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from helpers import finmap_payload, random_sector_form, reference_dumps
-from sectorforms import cli
+from sectorforms import cli, cohomology
 from sectorforms.cli import build_parser, main
+from sectorforms.cohomology import sector_basis
 from sectorforms.fincard import FinMap, Generator, GenWord, eval_word
 from sectorforms.jsonio import dumps, sectorform_to_dict
 from sectorforms.poly import Poly, PolyMap
@@ -116,6 +117,21 @@ class TestFactor:
         code, payload, _ = run(capsys, "factor", "--in", path, "--gens", "surj")
         assert code == 2
         assert payload["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("table,cod,onto", [
+        ((), 0, True), ((2, 1, 2), 2, True), ((3, 3, 1, 2), 3, True), ((1, 1, 3), 3, False),
+        ((), 1, False), ((2, 2), 2, False), ((1, 2), 3, False),
+    ])
+    def test_surjectivity_is_the_image_size(self, tmp_path, capsys, table, cod, onto):
+        path = write_json(tmp_path, "map.json", finmap_payload(FinMap(len(table), cod, table)))
+        code, payload, err = run(capsys, "factor", "--in", path, "--gens", "surj")
+        if onto:
+            assert code == 0 and payload["cod"] == cod
+        else:
+            assert code == 2
+            assert payload == {"error": "invalid-input",
+                               "detail": "map is not surjective; use --gens full"}
+            assert err == "error: map is not surjective; use --gens full\n"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -510,6 +526,48 @@ class TestSectorBasisCommand:
         payload = json.loads(out.read_text())
         assert payload["dimension"] == 1
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_bytes_equal_json_of_the_basis(self, capsys, n):
+        # every m <= 3 and d <= 3 lies under the default guard, up to 6180 forms at (4, 3, 3)
+        for m in range(1, 4):
+            for d in range(4):
+                assert main(["sector-basis", "--n", str(n), "--dim", str(m), "--deg", str(d)]) == 0
+                basis = sector_basis(n, m, d)
+                payload = {"n": n, "m": m, "d": d, "dimension": len(basis),
+                           "basis": [sectorform_to_dict(w) for w in basis]}
+                assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", (m, d)
+
+    @pytest.mark.parametrize("n,m", [(0, 2), (1, 1), (2, 1)])
+    def test_exponents_past_the_digit_table(self, capsys, n, m):
+        argv = ["sector-basis", "--n", str(n), "--dim", str(m), "--deg", "70", "--cap-deg", "70"]
+        assert main(argv) == 0
+        basis = sector_basis(n, m, 70)
+        payload = {"n": n, "m": m, "d": 70, "dimension": len(basis),
+                   "basis": [sectorform_to_dict(w) for w in basis]}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_guard_before_any_shape(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built past the guard")
+
+        monkeypatch.setattr(cohomology, "_partition_tails", refuse)
+        argv = ("sector-basis", "--n", "3", "--dim", "2", "--deg", "1", "--max-candidates")
+        code, payload, _ = run(capsys, *argv, "65")  # C(3, 2) * T_3(2) = 66 forms
+        assert code == 3 and payload["error"] == "resource-guard"
+        with pytest.raises(AssertionError, match="past the guard"):
+            main([*argv, "66"])
+
+    def test_builds_no_form(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a form")
+
+        for cls, attr in ((SectorForm, "_from_components"), (PolyMap, "_from_components"),
+                          (Poly, "_from_terms"), (SectorForm, "__init__"),
+                          (PolyMap, "__init__"), (Poly, "__init__")):
+            monkeypatch.setattr(cls, attr, refuse)
+        code, payload, _ = run(capsys, "sector-basis", "--n", "3", "--dim", "2", "--deg", "2")
+        assert code == 0 and payload["dimension"] == len(payload["basis"]) == 132
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -526,9 +584,9 @@ class TestSectorBasisCommand:
     (("derham", "--dim", "1", "--deg", "-1", "--levels", "1"), "complex_report"),
     (("derham", "--dim", "1", "--deg", "1", "--levels", "-1"), "complex_report"),
     (("derham", "--dim", "1", "--deg", "1", "--levels", "1", "--cap-deg", "-2"), "complex_report"),
-    (("sector-basis", "--n", "-1", "--dim", "1", "--deg", "0"), "sector_basis"),
+    (("sector-basis", "--n", "-1", "--dim", "1", "--deg", "0"), "partition_basis"),
     (("sector-basis", "--n", "1", "--dim", "1", "--deg", "0", "--max-candidates", "-5"),
-     "sector_basis"),
+     "partition_basis"),
     (("derive", "--form", "form.json", "--cap-n", "-1"), "exterior_derivative"),
     (("apply", "--form", "form.json", "--map", "map.json", "--cap-n", "-1"),
      "apply_cardinal_map"),
@@ -584,6 +642,41 @@ def test_written_bytes_are_json_indent_2(tmp_path, capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     assert len(written) == 1
     assert out == reference_dumps(written[0])
+
+
+# sha256 of the report of each `derham`-workload job of the benchmark:
+# its 11 level-2 reports and 12 sector bases
+BENCHMARK_REPORTS = [
+    ("derham --dim 1 --deg 1 --levels 2", "e7e8b24d0d3499d075270291ed1f4c11a06c7914127345380fe130886bb294d8"),
+    ("derham --dim 1 --deg 2 --levels 2", "12978dbe225c5b3d95ec04e464cc5810c75d5bec74207437e24f23c71384f404"),
+    ("derham --dim 1 --deg 3 --levels 2", "56068c216755cc6dffad106166e44e5d86e10e15e5bfd9eae7194482d6465a0d"),
+    ("derham --dim 1 --deg 4 --levels 2", "000d383a40437366401599d4dd7ef0c7dc5536bd9c8a2e4918447d7f2ba387a8"),
+    ("derham --dim 1 --deg 5 --levels 2", "8e2134160d5327e8b9759679be8618ebc39a590df153df444add21cf0a216af7"),
+    ("derham --dim 1 --deg 6 --levels 2", "dfc6e1e5b5f3b00c2efe89a38e28a63402d7e4672da92676b2d7800a20046af7"),
+    ("derham --dim 1 --deg 7 --levels 2", "dcec0e1a7e22cdf31b4118934b35cad7d2fd43b7a74fc4f2a82f9dbc93e25828"),
+    ("derham --dim 1 --deg 8 --levels 2", "f36e1655fa349acadfa70a13d5db57b8fb635d800e41695e4a15465691602a36"),
+    ("derham --dim 2 --deg 0 --levels 2", "81afcfa99baa851365195397fc7863f7eac60507b401e6e0af51341134754801"),
+    ("derham --dim 2 --deg 1 --levels 2", "d7dd226490998694f0e67ec049051090636ff065fa71007bb47f48fb4c2473d0"),
+    ("derham --dim 3 --deg 0 --levels 2", "2c14376024ebad359000b7659ab495f2fd5463dd17dbf1877745cc9903c6180c"),
+    ("sector-basis --n 3 --dim 1 --deg 0", "792fa241361682c46b8c38b7ff17220d0a9eed70f20ee9f60125fb88b10fe7b8"),
+    ("sector-basis --n 3 --dim 1 --deg 1", "5a84799ad8da61a303ef8de64da103736bf4c82c8f4457b1b395a0a0e602ba0b"),
+    ("sector-basis --n 3 --dim 1 --deg 2", "5cd3a8f26d48edb4e09c0b8cd53e96a67a8b75b3e4b8b53e48165b846bbf931d"),
+    ("sector-basis --n 3 --dim 1 --deg 3", "cbb10e4df2ccc555d4afbd8d31aeb9af3e306a1b9eabe68ced71d1b814107689"),
+    ("sector-basis --n 3 --dim 1 --deg 4", "53e93d62295fb668f21099b71be11d5b29e272805ced44791904b54ea56672ce"),
+    ("sector-basis --n 2 --dim 2 --deg 3", "38b989f9a8e8e73bc28da44c55da0b7f5eeb513b95c01dd834ce48d791148a1c"),
+    ("sector-basis --n 2 --dim 2 --deg 4", "0372275aa69176db80a429c0b298436cd779e7040d6c7b52412ae4526522d9e6"),
+    ("sector-basis --n 2 --dim 2 --deg 5", "ba69bc1308014840f5994539d6e1c2a35856039c57929852bceee57377d834a0"),
+    ("sector-basis --n 2 --dim 2 --deg 6", "991169f7bcb2f3e42ed691dbf627a4bfb7356fa0e03fc7b5fd1602034404465b"),
+    ("sector-basis --n 2 --dim 3 --deg 2", "6312bc8c9fb8a4940235d00328522ef63d608df0c5fcc1d5c1b57a252b4fd1a1"),
+    ("sector-basis --n 1 --dim 3 --deg 7", "996c443d1547cfaede85bbcc3a17c6ce0f262d87c679df664457988138d3310d"),
+    ("sector-basis --n 1 --dim 3 --deg 8", "0669c6041050de7c91a58e43be32d7004937e4229a1233f6678e73f9ea1bce8f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", BENCHMARK_REPORTS, ids=[a for a, _ in BENCHMARK_REPORTS])
+def test_benchmark_reports_are_pinned(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestReusedParser:

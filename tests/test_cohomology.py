@@ -12,6 +12,7 @@ from helpers import (
     derham_keys,
     in_span,
     nullspace,
+    partition_basis_forms,
     random_sector_form,
     reference_alternating_subbasis,
     reference_complex_report,
@@ -25,6 +26,7 @@ from sectorforms.cohomology import (
     ComplexReport,
     SizeError,
     complex_report,
+    partition_basis,
     sector_basis,
     sector_candidates,
     singular_basis,
@@ -139,6 +141,19 @@ class TestSectorBasis:
         monkeypatch.setattr(cohomology, "sector_candidates", refuse)
         with pytest.raises(SizeError):
             sector_basis(12, 3, 8)
+
+    @pytest.mark.parametrize("n,m,d", [(0, 1, 0), (0, 3, 2), (1, 3, 1), (3, 1, 2), (2, 2, 2),
+                                       (4, 2, 0)])
+    def test_partition_basis_lists_the_same_forms(self, n, m, d):
+        b = partition_basis(n, m, d)
+        assert len(b) == len(sector_candidates(n, m, d))
+        assert partition_basis_forms(b) == sector_basis(n, m, d)
+
+    def test_partition_basis_guard(self, monkeypatch):
+        assert len(partition_basis(3, 2, 1, max_candidates=66)) == 66
+        monkeypatch.setattr(cohomology, "_partition_tails", None)
+        with pytest.raises(SizeError):
+            partition_basis(3, 2, 1, max_candidates=65)
 
     def test_candidate_count(self):
         # C(m+d, m) base monomials x T_n(m) labelled set partitions of 1..n

@@ -26,6 +26,7 @@ from sectorforms.fincard import (
     monoidal_sum,
     probe_surjection,
     sigma_cycle,
+    _generator,
     _relation_instances,
 )
 
@@ -170,6 +171,25 @@ class TestGenerators:
     def test_unknown_kind(self, kind):
         with pytest.raises(ValueError):
             Generator(kind, 2, 1)
+
+
+    def test_shared_generator_is_the_validated_one(self):
+        g = _generator(SIGMA, 3, 2)
+        assert g is _generator(SIGMA, 3, 2)
+        assert g == Generator(SIGMA, 3, 2) and type(g) is Generator
+
+    @pytest.mark.parametrize("triple", ((EPSILON, 2, 3), (SIGMA, 2, 2), (DELTA, -1, 1),
+                                        ("zeta", 2, 1)), ids=["epsilon", "sigma", "level", "kind"])
+    def test_shared_generator_rejects_on_every_call(self, triple):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                _generator(*triple)
+
+    def test_words_share_their_generators(self):
+        f = FinMap(4, 5, (3, 1, 3, 2))
+        first, second = factor_map(f), factor_map(f)
+        assert first == reference_factor_map(f)
+        assert all(a is b for a, b in zip(first.gens, second.gens))
 
 
 class TestWords:

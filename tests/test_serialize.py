@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import finmap_payload, genword_to_dict, random_sector_form, reference_dumps
+from sectorforms.cohomology import PartitionBasis, partition_basis
 from sectorforms.fincard import (CompositionError, FinMap, GenWord, Generator, factor_map,
                                  factor_surjection)
 from sectorforms.jsonio import (
@@ -223,6 +224,14 @@ class TestCanonicalWriter:
     def test_form_equals_its_dict(self, name):
         w = EDGE_FORMS[name]
         for payload in (w, [w], basis_payload([w, w]), {"x": [[w]]}):
+            assert dumps(payload) == reference_dumps(payload)
+
+    @pytest.mark.parametrize("b", [
+        partition_basis(0, 1, 0), partition_basis(0, 3, 2), partition_basis(2, 2, 1),
+        partition_basis(3, 1, 70, max_candidates=400), PartitionBasis(1, 2, (), ((1, 0),)),
+    ], ids=["n0-m1", "n0-m3", "n2-m2", "past-the-digit-table", "empty"])
+    def test_partition_basis_equals_its_forms(self, b):
+        for payload in (b, [b], basis_payload(b), {"x": [[b, 1], b]}):
             assert dumps(payload) == reference_dumps(payload)
 
 
