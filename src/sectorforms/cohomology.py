@@ -28,7 +28,7 @@ from math import comb, factorial
 
 from .linalg import rank
 from .poly import _ONE, Poly
-from .sector import SectorForm, exterior_derivative
+from .sector import SectorForm, _coface_sums, _exterior_signs
 
 
 class SizeError(ValueError):
@@ -147,22 +147,31 @@ def singular_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[
         raise SizeError(
             f"{count} monomials at (n={n}, m={m}, d={d}) "
             f"exceed the guard of {max_candidates}")
+    size = m << n
+    return [SectorForm._from_components(n, m, (Poly._from_terms(
+                size, {exp: Fraction(sign) for exp, sign in vector}),))
+            for vector in _singular_vectors(n, m, d)]
+
+
+def _singular_vectors(n: int, m: int, d: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The forms of `singular_basis(n, m, d)`, in its order and unguarded, as
+    lists of (exponent, +-1) pairs."""
     if n > m:
         return []
     size = m << n
     # (-1)^(n(n-1)/2) sgn(sigma) is -1 to the number of ascending pairs of sigma
-    signed = [(Fraction((-1) ** sum(a < b for a, b in combinations(p, 2))), p)
+    signed = [((-1) ** sum(a < b for a, b in combinations(p, 2)), p)
               for p in permutations(range(n))]
     out = []
     for base in _base_exponents(m, d):
         for js in combinations(range(m), n):
-            terms = {}
+            vector = []
             for sign, perm in signed:
                 exp = list(base) + [0] * (size - m)
                 for level, k in enumerate(perm):
                     exp[(m << level) + js[k]] = 1
-                terms[tuple(exp)] = sign
-            out.append(SectorForm._from_components(n, m, (Poly._from_terms(size, terms),)))
+                vector.append((tuple(exp), sign))
+            out.append(vector)
     return out
 
 
@@ -202,32 +211,33 @@ class ComplexReport:
         return ok and all(h >= 0 for h in self.cohomology + self.singular_cohomology)
 
 
-def _level_ranks(n: int, comps: list[Poly], m: int, d: int) -> tuple[int, int, int, bool]:
+def _level_ranks(n: int, vectors: list[list[tuple[tuple[int, ...], int]]], m: int,
+                 d: int) -> tuple[int, int, int, bool]:
     """(forms of base degree <= d, the rank of their boundary, the rank of
     the boundary on the whole basis, d∘d vanishes on it) for the basis of
-    n-forms with the scalar bodies comps.  They are stacked as the
-    components of one form, so d and d∘d are one `exterior_derivative`
-    call each; component i of d is the row of form i."""
-    if not comps:
+    n-forms on R^m given as integer vectors.  One `_coface_sums` call
+    gives the row of d of every form, and a second one d∘d of every row."""
+    if not vectors:
         return 0, 0, 0, True
-    dstack = exterior_derivative(SectorForm._from_components(n, m, tuple(comps)))
-    rows = [c.terms for c in dstack.body.components]
-    low = [row for row, c in zip(rows, comps) if sum(next(iter(c.terms))[:m]) <= d]
+    rows = [{e: s for e, s in sums.items() if s}
+            for sums in _coface_sums(vectors, m, n, _exterior_signs(n))]
+    low = [row for row, vector in zip(rows, vectors) if sum(vector[0][0][:m]) <= d]
     r = rank(low)
     whole = r if len(low) == len(rows) else rank(rows)
-    return len(low), r, whole, exterior_derivative(dstack).is_zero
+    squares = _coface_sums([row.items() for row in rows], m, n + 1, _exterior_signs(n + 1))
+    return len(low), r, whole, not any(any(sums.values()) for sums in squares)
 
 
 def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> ComplexReport:
     """Assemble the degree-bounded complex on R^m up to level n_max.
 
     Kernels use coefficient bound d; images entering level n use the
-    level-(n-1) basis at bound d+1.  Exact rational arithmetic
+    level-(n-1) basis at bound d+1.  Exact integer arithmetic
     throughout; the boundary-squares-to-zero flag is a hard check on
     every basis element encountered.  Past the guards, each level's two
-    bases are built once, at d+1 below the top level, and differentiated
-    as stacked forms, the sector basis straight from its exponents; below
-    level 2 they are one basis.
+    bases are built once, at d+1 below the top level, as integer vectors
+    straight from their exponents, with no form object; below level 2
+    they are one basis.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
@@ -239,13 +249,11 @@ def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> C
     full, singular = [], []
     for nu in range(n_max + 1):
         bound = d + 1 if nu < n_max else d
-        size = m << nu
-        full.append(_level_ranks(nu, [Poly._from_terms(size, {exp: _ONE})
-                                      for exp in sector_candidates(nu, m, bound)], m, d))
+        full.append(_level_ranks(nu, [[(exp, 1)] for exp in sector_candidates(nu, m, bound)],
+                                 m, d))
         # below level 2 every partition monomial is alternating, in the same order
-        singular.append(full[-1] if nu < 2 else _level_ranks(
-            nu, [w.body.components[0] for w in singular_basis(nu, m, bound, max_candidates)],
-            m, d))
+        singular.append(full[-1] if nu < 2 else
+                        _level_ranks(nu, _singular_vectors(nu, m, bound), m, d))
 
     columns = []  # in field order: dims, kernels, ranks, raised, then H, for each complex
     for levels in (full, singular):

@@ -1,31 +1,22 @@
 """Exact rank over the rationals for sparse row dictionaries.
 
 Rows are dicts mapping a column key (any sortable hashable) to a nonzero
-Fraction.  Elimination runs forward only, in exact `Fraction` arithmetic
-with no floating point: pivots are chosen deterministically (shortest
-row, then smallest column key), and each pivot's column is cleared from
-the rows not yet pivoted.
+int or Fraction.  A row holding a Fraction is scaled to integers by the
+lcm of its denominators, and a row of ints is taken as it is.
+Elimination runs forward only, fraction-free, with no floating point:
+pivots are chosen deterministically (shortest row, then smallest column
+key), and each pivot's column is cleared from the rows not yet pivoted
+that hold it, which a column index names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Hashable, Sequence
 
-Row = dict[Hashable, Fraction]
-
-
-def _sub_scaled(target: Row, source: Row, factor: Fraction) -> None:
-    """target -= factor * source, dropping zeros in place."""
-    if not factor:
-        return
-    for col, val in source.items():
-        s = target.get(col, Fraction(0)) - factor * val
-        if s:
-            target[col] = s
-        else:
-            target.pop(col, None)
+Row = dict[Hashable, int | Fraction]
 
 
 def rank(rows: Sequence[Row]) -> int:
@@ -33,11 +24,28 @@ def rank(rows: Sequence[Row]) -> int:
 
     Each step takes the sparsest remaining row, ties going to the smallest
     leading column and then to the earliest input row, and clears its
-    smallest column from every other remaining row.  The keys wait in a
-    heap: a changed row is pushed again, and a popped key that no longer
-    fits its row skipped.
+    smallest column from every other remaining row: with p the pivot and
+    g = gcd(p, q), a row holding q there becomes (p/g) * row - (q/g) * pivot
+    row, divided by the gcd of its entries.  That is a multiple of the
+    rational elimination, with the same columns, so the pivots and the rank
+    are those of `Fraction` arithmetic.  The keys wait in a heap: a changed
+    row is pushed again, and a popped key that no longer fits its row
+    skipped.  ``holding`` maps each column to the rows not yet pivoted that
+    hold it, so a pivot visits only the rows it changes.
     """
-    work = {i: dict(r) for i, r in enumerate(rows) if r}
+    work = {}
+    for i, r in enumerate(rows):
+        if not r:
+            continue
+        if Fraction in set(map(type, r.values())):
+            den = lcm(*[v.denominator for v in r.values()])
+            work[i] = {c: v.numerator * (den // v.denominator) for c, v in r.items()}
+        else:
+            work[i] = dict(r)
+    holding = {}
+    for i, r in work.items():
+        for c in r:
+            holding.setdefault(c, set()).add(i)
     heap = [(len(r), min(r), i) for i, r in work.items()]
     heapify(heap)
     count = 0
@@ -47,10 +55,31 @@ def rank(rows: Sequence[Row]) -> int:
         if not row or (size, col) != (len(row), min(row)):
             continue  # pivoted, emptied, or changed since this key was pushed
         del work[i]
-        for j, other in work.items():
-            if col in other:
-                _sub_scaled(other, row, other[col] / row[col])
-                if other:
-                    heappush(heap, (len(other), min(other), j))
+        for c in row:
+            holding[c].discard(i)
+        pivot = row[col]
+        for j in holding.pop(col):
+            other = work[j]
+            g = gcd(pivot, other[col])
+            p, q = pivot // g, other[col] // g
+            if p != 1:
+                for c in other:
+                    other[c] *= p
+            for c, v in row.items():
+                s = other.get(c, 0) - q * v
+                if s:
+                    if c not in other:
+                        holding[c].add(j)
+                    other[c] = s
+                elif c in other:
+                    del other[c]
+                    if c != col:
+                        holding[c].discard(j)
+            if other:
+                g = gcd(*other.values())
+                if g > 1:
+                    for c in other:
+                        other[c] //= g
+                heappush(heap, (len(other), min(other), j))
         count += 1
     return count

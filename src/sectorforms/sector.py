@@ -35,6 +35,7 @@ singular forms; they are closed under the exterior derivative.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -161,7 +162,7 @@ def _reindex(omega: SectorForm, u: FinMap) -> SectorForm:
 
 @cache
 def _coface_table(m: int, n: int, i: int) -> tuple[int, ...]:
-    """The flip-cycle table of `_cofaces` at i into degree n on R^m: the
+    """The flip-cycle table of `_coface_sums` at i into degree n on R^m: the
     preimage table of `sigma_cycle(n, i)` over flat indices; kept, since
     a report asks for a handful of (m, n, i) many times over."""
     return tuple(_flat_sources(m, _surjection_sources(sigma_cycle(n, i))))
@@ -180,45 +181,70 @@ def _coface_reader(m: int, n: int, i: int) -> itemgetter:
     return itemgetter(*inverse)
 
 
-def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
-    """The sum of signs[i] * coface(omega, i), signs +-1, on exponent tuples.
+def _coface_sums(vectors: Iterable[Iterable[tuple[tuple[int, ...], int]]], m: int, n: int,
+                 signs: dict[int, int]) -> list[dict[tuple[int, ...], int]]:
+    """The sum of signs[i] * coface(_, i), signs +-1, of each integer vector,
+    the (exponent, int coefficient) pairs of a scalar n-form on R^m.
 
-    For each term c * x^e and each variable v with e_v > 0, the Jacobian
-    and principal projection give c * e_v * x^(e - 1_v + 1_(v + half)),
-    half = m << omega.n; the coface at i then moves the exponent at flat
-    index mask*m + j to src[mask]*m + j, src the flip-cycle table at i.
-    The tables are built only when some term's exponent bounds their size.
-
-    Common-denominator rule: every coefficient of a component is written
-    as a/D over D, the lcm of that component's denominators, and the
-    terms are summed on the integer numerators a * e_v; each nonzero sum
-    s becomes one `Fraction(s, D)`, which is in lowest terms.
+    For each term a * x^e and each variable v with e_v > 0, the Jacobian
+    and principal projection give a * e_v * x^(e - 1_v + 1_(v + half)),
+    half = m << n; the coface at i then moves the exponent at flat index
+    mask*m + j to src[mask]*m + j, src the flip-cycle table at i.  One
+    padded exponent list per term takes each move and is restored after
+    it.  Each sum dict is raw: entries that cancel stay, as 0.  The tables
+    are built only when some term's exponent bounds their size.
     """
-    if omega.is_zero:
-        return SectorForm.zero(omega.n + 1, omega.m, omega.k)
-    m, n = omega.m, omega.n + 1
-    half, size = m << omega.n, m << n
-    moves = [(sign > 0, _coface_reader(m, n, i)) for i, sign in signs.items()]
+    half = m << n
+    moves = [(sign > 0, _coface_reader(m, n + 1, i)) for i, sign in signs.items()]
     padding, flats = [0] * half, range(half)
-    components = []
-    for comp in omega.body.components:
-        den = lcm(*[c.denominator for c in comp.terms.values()])
+    out = []
+    for vector in vectors:
         sums = {}
-        for exp, c in comp.terms.items():
-            a = c.numerator * (den // c.denominator)
+        get = sums.get
+        for exp, a in vector:
+            derived = list(exp)
+            derived += padding
             for v in compress(flats, exp):
                 e = exp[v]
-                derived = list(exp)
-                derived += padding
                 derived[v] = e - 1
                 derived[v + half] = 1
                 plus = a * e
+                minus = -plus
                 for positive, read in moves:
                     key = read(derived)
-                    sums[key] = sums.get(key, 0) + (plus if positive else -plus)
-        components.append(Poly._from_terms(size, {e: Fraction(s, den)
-                                                  for e, s in sums.items() if s}))
-    return SectorForm._from_components(n, m, tuple(components))
+                    sums[key] = get(key, 0) + (plus if positive else minus)
+                derived[v] = e
+                derived[v + half] = 0
+        out.append(sums)
+    return out
+
+
+def _exterior_signs(n: int) -> dict[int, int]:
+    """The signs (-1)^(i-1) of the cofaces at i = 1..n+1 leaving degree n."""
+    return {i: 1 if i % 2 else -1 for i in range(1, n + 2)}
+
+
+def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
+    """The sum of signs[i] * coface(omega, i), signs +-1, through `_coface_sums`.
+
+    Common-denominator rule: every coefficient of a component is written
+    as a/D over D, the lcm of that component's denominators, and the
+    kernel sums the integer numerators; each nonzero sum s becomes one
+    `Fraction(s, D)`, which is in lowest terms.
+    """
+    if omega.is_zero:
+        return SectorForm.zero(omega.n + 1, omega.m, omega.k)
+    m, n = omega.m, omega.n
+    dens, vectors = [], []
+    for comp in omega.body.components:
+        den = lcm(*[c.denominator for c in comp.terms.values()])
+        dens.append(den)
+        vectors.append([(exp, c.numerator * (den // c.denominator))
+                        for exp, c in comp.terms.items()])
+    size = m << (n + 1)
+    return SectorForm._from_components(n + 1, m, tuple(
+        Poly._from_terms(size, {e: Fraction(s, den) for e, s in sums.items() if s})
+        for sums, den in zip(_coface_sums(vectors, m, n, signs), dens)))
 
 
 def fundamental_derivative(omega: SectorForm) -> SectorForm:
@@ -285,7 +311,7 @@ def exterior_derivative(omega: SectorForm) -> SectorForm:
     same term dict.  Squares to zero: sector forms are a cochain complex.
     """
     _require_sector(omega)
-    return _cofaces(omega, {i: 1 if i % 2 else -1 for i in range(1, omega.n + 2)})
+    return _cofaces(omega, _exterior_signs(omega.n))
 
 
 def is_alternating(omega: SectorForm) -> bool:

@@ -26,7 +26,6 @@ from sectorforms.fincard import (
 )
 from sectorforms.cohomology import ComplexReport, PartitionBasis, sector_basis, singular_basis
 from sectorforms.jsonio import sectorform_to_dict
-from sectorforms.linalg import _sub_scaled
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
 from sectorforms.sector import (
     SectorForm,
@@ -347,6 +346,18 @@ def body_vector(form):
         for exp, coeff in comp.terms.items():
             vec[(comp_idx, exp)] = coeff
     return vec
+
+
+def _sub_scaled(target, source, factor):
+    """target -= factor * source, dropping zeros in place."""
+    if not factor:
+        return
+    for col, val in source.items():
+        s = target.get(col, Fraction(0)) - factor * val
+        if s:
+            target[col] = s
+        else:
+            target.pop(col, None)
 
 
 def rref(rows):

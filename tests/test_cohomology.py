@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,8 @@ from helpers import (
     rref,
     set_partitions,
 )
-from sectorforms import cohomology
+from sectorforms import cohomology, sector
+from sectorforms.cli import main
 from sectorforms.cohomology import (
     ComplexReport,
     SizeError,
@@ -45,12 +47,18 @@ from sectorforms.sector import (
 F = Fraction
 
 
+FRACTIONS = st.fractions(-4, 4, max_denominator=5).filter(bool)
+SMALL_INTS = st.integers(-4, 4).filter(bool)
+# k * (2^64 + r), k != 0: at least 2^64 in size, and copies scaled by such
+# entries leave rows whose entries share factors past 2^64 for the gcd step
+PAST_2_64 = st.builds(lambda k, r: k * (2 ** 64 + r), SMALL_INTS, st.integers(0, 3))
+
+
 @st.composite
-def sparse_rows(draw):
-    """Sparse rational rows over int or exponent-tuple columns (the keys
+def sparse_rows(draw, coeffs=FRACTIONS):
+    """Sparse rows over int or exponent-tuple columns (the keys
     `complex_report` passes), some empty, with duplicates and scaled copies."""
     keys = draw(st.sampled_from([list(range(6)), list(product(range(2), repeat=3))]))
-    coeffs = st.fractions(-4, 4, max_denominator=5).filter(bool)
     rows = draw(st.lists(st.dictionaries(st.sampled_from(keys), coeffs, max_size=4), max_size=8))
     if rows:
         copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), coeffs), max_size=4))
@@ -70,9 +78,21 @@ class TestLinalg:
         rows = [{0: F(1), 1: F(1)}, {0: F(1), 2: F(1)}, {1: F(-1), 2: F(1)}]
         assert rank(rows) == 2
 
+    def test_rank_skips_rows_already_pivoted(self):
+        # Row 0 is pivoted on column 0 first; column 1, row 1's pivot, is
+        # then held only by row 0, which must not be eliminated or counted again.
+        assert rank([{0: F(1), 1: F(1)}, {1: F(1), 2: F(1)}]) == 2
+        assert rank([{0: 1, 1: 1}, {1: 1, 2: 1}]) == 2
+
     @given(sparse_rows())
     def test_rank_matches_rref(self, rows):
         assert rank(rows) == len(rref(rows)[0])
+
+    @pytest.mark.parametrize("coeffs", [SMALL_INTS, PAST_2_64], ids=["int", "past-2^64"])
+    @given(data=st.data())
+    def test_rank_matches_rref_on_int_rows(self, coeffs, data):
+        rows = data.draw(sparse_rows(coeffs))
+        assert rank(rows) == len(rref([{c: F(v) for c, v in r.items()} for r in rows])[0])
 
     def test_nullspace_small(self):
         # x + y = 0 over three unknowns: kernel is 2-dimensional
@@ -314,6 +334,45 @@ class TestComplexReport:
                              + [(3, 0, 2), (3, 1, 2), (3, 0, 3)])
     def test_matches_reference(self, m, d, levels):
         assert complex_report(m, d, levels) == reference_complex_report(m, d, levels)
+
+    def test_builds_no_object_per_basis_element(self, monkeypatch):
+        # the report runs on integer vectors: no Poly, Fraction or form is
+        # built per basis element, and no linearity check runs on them
+        expected = complex_report(2, 1, 2)
+
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError(f"reached {name}")
+
+            def __call__(self, *args):
+                raise AssertionError("built an object")
+
+        monkeypatch.setattr(cohomology, "Poly", Refuse())
+        monkeypatch.setattr(cohomology, "Fraction", Refuse())
+        monkeypatch.setattr(SectorForm, "_from_components", Refuse())
+        monkeypatch.setattr(sector, "_require_sector", Refuse())
+        assert complex_report(2, 1, 2) == expected
+
+    def test_swapped_flip_table_fails_the_certificate(self, monkeypatch, capsys):
+        # Two entries of the flip-cycle table at position 2 into degree 3 on
+        # the line swapped: d of 0- and 1-forms is unchanged and the report
+        # stays consistent, so only the d∘d certificate can show the fault.
+        real = sector._coface_reader
+
+        def swapped(m, n, i):
+            read = real(m, n, i)
+            if (m, n, i) != (1, 3, 2):
+                return read
+            picks = list(read(range(m << n)))
+            picks[0], picks[1] = picks[1], picks[0]
+            return itemgetter(*picks)
+
+        monkeypatch.setattr(sector, "_coface_reader", swapped)
+        rep = complex_report(1, 2, 2)
+        assert rep.consistent() and not rep.complex_verified
+        assert main(["derham", "--dim", "1", "--deg", "2", "--levels", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert '"complex_verified": false' in out and "boundary squared zero: False" in err
 
 
 def outcome(report, *args):

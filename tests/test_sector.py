@@ -24,8 +24,8 @@ from helpers import (
     rotated_cofaces,
     rotated_exterior_derivative,
 )
-from sectorforms import fincard, poly, sector, tangent
-from sectorforms.cohomology import sector_basis, singular_basis
+from sectorforms import cohomology, fincard, poly, sector, tangent
+from sectorforms.cohomology import sector_basis, sector_candidates, singular_basis
 from sectorforms.fincard import (
     DELTA,
     EPSILON,
@@ -661,6 +661,27 @@ class TestCommonDenominator:
         got = coface(w, 1)
         assert sorted(got.body.components[0].terms.values()) == [F(2, 3), F(10 ** 30, 7)]
         assert_canonical(got)
+
+
+class TestCofaceSums:
+    """The integer kernel on the vectors `complex_report` passes: the partition
+    monomials of `sector_candidates` and the signed monomials of the singular
+    basis, each against the reference derivative of its basis form."""
+
+    @pytest.mark.parametrize("n,m,d", [(n, m, d) for n in range(4) for m in range(1, 4)
+                                       for d in range(3)])
+    def test_numerators_of_reference(self, n, m, d):
+        vectors = ([[(exp, 1)] for exp in sector_candidates(n, m, d)]
+                   + cohomology._singular_vectors(n, m, d))
+        forms = sector_basis(n, m, d) + singular_basis(n, m, d)
+        sums = sector._coface_sums(vectors, m, n, {i: 1 if i % 2 else -1 for i in range(1, n + 2)})
+        assert len(sums) == len(vectors) == len(forms)
+        for vector, got, form in zip(vectors, sums, forms):
+            assert dict(vector) == form.body.components[0].terms
+            want = reference_exterior_derivative(form).body.components[0].terms
+            assert all(c.denominator == 1 for c in want.values())
+            assert {e: s for e, s in got.items() if s} == {e: c.numerator
+                                                           for e, c in want.items()}
 
 
 class TestAlternating:
