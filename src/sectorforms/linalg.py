@@ -1,12 +1,11 @@
 """Exact rank over the rationals for sparse row dictionaries.
 
 Rows are dicts mapping a column key (any sortable hashable) to a nonzero
-int or Fraction.  A row holding a Fraction is scaled to integers by the
-lcm of its denominators, and a row of ints is taken as it is.
-Elimination runs forward only, fraction-free, with no floating point:
-pivots are chosen deterministically (shortest row, then smallest column
-key), and each pivot's column is cleared from the rows not yet pivoted
-that hold it, which a column index names.
+int or Fraction.  Each row is scaled to integers by the lcm of its
+denominators, and elimination runs forward only, fraction-free, with no
+floating point: pivots are chosen deterministically (shortest row, then
+smallest column key), and each pivot's column is cleared from the rows
+not yet pivoted.
 """
 
 from __future__ import annotations
@@ -30,22 +29,13 @@ def rank(rows: Sequence[Row]) -> int:
     rational elimination, with the same columns, so the pivots and the rank
     are those of `Fraction` arithmetic.  The keys wait in a heap: a changed
     row is pushed again, and a popped key that no longer fits its row
-    skipped.  ``holding`` maps each column to the rows not yet pivoted that
-    hold it, so a pivot visits only the rows it changes.
+    skipped.
     """
     work = {}
     for i, r in enumerate(rows):
-        if not r:
-            continue
-        if Fraction in set(map(type, r.values())):
+        if r:
             den = lcm(*[v.denominator for v in r.values()])
             work[i] = {c: v.numerator * (den // v.denominator) for c, v in r.items()}
-        else:
-            work[i] = dict(r)
-    holding = {}
-    for i, r in work.items():
-        for c in r:
-            holding.setdefault(c, set()).add(i)
     heap = [(len(r), min(r), i) for i, r in work.items()]
     heapify(heap)
     count = 0
@@ -55,11 +45,10 @@ def rank(rows: Sequence[Row]) -> int:
         if not row or (size, col) != (len(row), min(row)):
             continue  # pivoted, emptied, or changed since this key was pushed
         del work[i]
-        for c in row:
-            holding[c].discard(i)
         pivot = row[col]
-        for j in holding.pop(col):
-            other = work[j]
+        for j, other in work.items():
+            if col not in other:
+                continue
             g = gcd(pivot, other[col])
             p, q = pivot // g, other[col] // g
             if p != 1:
@@ -68,13 +57,9 @@ def rank(rows: Sequence[Row]) -> int:
             for c, v in row.items():
                 s = other.get(c, 0) - q * v
                 if s:
-                    if c not in other:
-                        holding[c].add(j)
                     other[c] = s
-                elif c in other:
+                else:
                     del other[c]
-                    if c != col:
-                        holding[c].discard(j)
             if other:
                 g = gcd(*other.values())
                 if g > 1:

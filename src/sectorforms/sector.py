@@ -35,7 +35,7 @@ singular forms; they are closed under the exterior derivative.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -182,7 +182,7 @@ def _coface_reader(m: int, n: int, i: int) -> itemgetter:
 
 
 def _coface_sums(vectors: Iterable[Iterable[tuple[tuple[int, ...], int]]], m: int, n: int,
-                 signs: dict[int, int]) -> list[dict[tuple[int, ...], int]]:
+                 signs: dict[int, int]) -> Iterator[dict[tuple[int, ...], int]]:
     """The sum of signs[i] * coface(_, i), signs +-1, of each integer vector,
     the (exponent, int coefficient) pairs of a scalar n-form on R^m.
 
@@ -191,13 +191,15 @@ def _coface_sums(vectors: Iterable[Iterable[tuple[tuple[int, ...], int]]], m: in
     half = m << n; the coface at i then moves the exponent at flat index
     mask*m + j to src[mask]*m + j, src the flip-cycle table at i.  One
     padded exponent list per term takes each move and is restored after
-    it.  Each sum dict is raw: entries that cancel stay, as 0.  The tables
-    are built only when some term's exponent bounds their size.
+    it.  Each sum dict is raw: entries that cancel stay, as 0, and each
+    caller drops them in the one pass it makes over the sums anyway.  The
+    sums are yielded one vector at a time, so a caller that only tests
+    them holds one at once.  The flip-cycle tables are built when the
+    first sum is asked for, terms or none.
     """
     half = m << n
     moves = [(sign > 0, _coface_reader(m, n + 1, i)) for i, sign in signs.items()]
     padding, flats = [0] * half, range(half)
-    out = []
     for vector in vectors:
         sums = {}
         get = sums.get
@@ -215,8 +217,7 @@ def _coface_sums(vectors: Iterable[Iterable[tuple[tuple[int, ...], int]]], m: in
                     sums[key] = get(key, 0) + (plus if positive else minus)
                 derived[v] = e
                 derived[v + half] = 0
-        out.append(sums)
-    return out
+        yield sums
 
 
 def _exterior_signs(n: int) -> dict[int, int]:
@@ -230,7 +231,9 @@ def _cofaces(omega: SectorForm, signs: dict[int, int]) -> SectorForm:
     Common-denominator rule: every coefficient of a component is written
     as a/D over D, the lcm of that component's denominators, and the
     kernel sums the integer numerators; each nonzero sum s becomes one
-    `Fraction(s, D)`, which is in lowest terms.
+    `Fraction(s, D)`, which is in lowest terms.  A zero form returns
+    before the kernel, so the flip-cycle tables are built only when some
+    term's exponent bounds their size.
     """
     if omega.is_zero:
         return SectorForm.zero(omega.n + 1, omega.m, omega.k)

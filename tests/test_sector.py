@@ -674,7 +674,7 @@ class TestCofaceSums:
         vectors = ([[(exp, 1)] for exp in sector_candidates(n, m, d)]
                    + cohomology._singular_vectors(n, m, d))
         forms = sector_basis(n, m, d) + singular_basis(n, m, d)
-        sums = sector._coface_sums(vectors, m, n, {i: 1 if i % 2 else -1 for i in range(1, n + 2)})
+        sums = list(sector._coface_sums(vectors, m, n, {i: 1 if i % 2 else -1 for i in range(1, n + 2)}))
         assert len(sums) == len(vectors) == len(forms)
         for vector, got, form in zip(vectors, sums, forms):
             assert dict(vector) == form.body.components[0].terms
