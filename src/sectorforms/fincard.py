@@ -187,11 +187,11 @@ class GenWord:
         return len(self.gens)
 
 
-def eval_word(w: GenWord, realize: Callable[[Generator], FinMap] = generator_map) -> FinMap:
+def eval_word(w: GenWord) -> FinMap:
     """Left-to-right composite of the generator realizations."""
     out = identity(w.dom)
     for g in w.gens:
-        out = compose(out, realize(g))
+        out = compose(out, generator_map(g))
     if out.cod != w.cod:
         raise CompositionError(f"word evaluates to cod {out.cod}, declared {w.cod}")
     return out

@@ -2,16 +2,13 @@
 
 Rows are dicts mapping a column key (any sortable hashable) to a nonzero
 int or Fraction.  Each row is scaled to integers by the lcm of its
-denominators, and elimination runs forward only, fraction-free, with no
-floating point: pivots are chosen deterministically (shortest row, then
-smallest column key), and each pivot's column is cleared from the rows
-not yet pivoted.
+denominators and reduced, fraction-free and with no floating point,
+against the pivot rows found so far, each kept under its leading column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Hashable, Sequence
 
@@ -19,52 +16,39 @@ Row = dict[Hashable, int | Fraction]
 
 
 def rank(rows: Sequence[Row]) -> int:
-    """Rank of the rows, by forward elimination; empty rows are skipped.
+    """Rank of the rows, in one pass; the input rows are not changed.
 
-    Each step takes the sparsest remaining row, ties going to the smallest
-    leading column and then to the earliest input row, and clears its
-    smallest column from every other remaining row: with p the pivot and
-    g = gcd(p, q), a row holding q there becomes (p/g) * row - (q/g) * pivot
-    row, divided by the gcd of its entries.  That is a multiple of the
-    rational elimination, with the same columns, so the pivots and the rank
-    are those of `Fraction` arithmetic.  The keys wait in a heap: a changed
-    row is pushed again, and a popped key that no longer fits its row
-    skipped.
+    Each row, copied to integers, is reduced at its smallest column by the
+    pivot row leading there: with p that pivot's entry, q the row's and
+    g = gcd(p, q), the row becomes (p/g) * row - (q/g) * pivot, divided by
+    the gcd of its entries.  That is a multiple of the rational step, so a
+    row that vanishes is in the span of the rows before it.  A row that
+    reaches a column no pivot leads becomes its pivot, and the rank is the
+    number of pivots.
     """
-    work = {}
-    for i, r in enumerate(rows):
-        if r:
-            den = lcm(*[v.denominator for v in r.values()])
-            work[i] = {c: v.numerator * (den // v.denominator) for c, v in r.items()}
-    heap = [(len(r), min(r), i) for i, r in work.items()]
-    heapify(heap)
-    count = 0
-    while heap:
-        size, col, i = heappop(heap)
-        row = work.get(i)
-        if not row or (size, col) != (len(row), min(row)):
-            continue  # pivoted, emptied, or changed since this key was pushed
-        del work[i]
-        pivot = row[col]
-        for j, other in work.items():
-            if col not in other:
-                continue
-            g = gcd(pivot, other[col])
-            p, q = pivot // g, other[col] // g
+    pivots = {}
+    for r in rows:
+        den = lcm(*[v.denominator for v in r.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in r.items()}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            g = gcd(pivot[col], row[col])
+            p, q = pivot[col] // g, row[col] // g
             if p != 1:
-                for c in other:
-                    other[c] *= p
-            for c, v in row.items():
-                s = other.get(c, 0) - q * v
+                for c in row:
+                    row[c] *= p
+            for c, v in pivot.items():
+                s = row.get(c, 0) - q * v
                 if s:
-                    other[c] = s
+                    row[c] = s
                 else:
-                    del other[c]
-            if other:
-                g = gcd(*other.values())
-                if g > 1:
-                    for c in other:
-                        other[c] //= g
-                heappush(heap, (len(other), min(other), j))
-        count += 1
-    return count
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+    return len(pivots)

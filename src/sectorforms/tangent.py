@@ -267,13 +267,13 @@ def tangent_pair(f: PolyMap, g: PolyMap) -> PolyMap:
 
 # -- axiom verification -------------------------------------------------
 
-def _random_polymap(rng: random.Random, a: int, b: int, deg: int = 2) -> PolyMap:
+def _random_polymap(rng: random.Random, a: int, b: int) -> PolyMap:
     comps = []
     for _ in range(b):
         terms = {}
         for _ in range(rng.randint(1, 3)):
             exp = [0] * a
-            for _ in range(rng.randint(0, deg)):
+            for _ in range(rng.randint(0, 2)):
                 exp[rng.randrange(a)] += 1
             terms[tuple(exp)] = terms.get(tuple(exp), 0) + rng.randint(-3, 3)
         comps.append(Poly(a, terms))

@@ -70,29 +70,40 @@ class TestLinalg:
     def test_rank(self):
         rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {1: F(1), 2: F(1)}]
         assert rank(rows) == 2
+        # (3/2) p0 + p1 + p2 vanishes only at the third pivot, and at the
+        # first and the third the pivot's leading entry does not divide the
+        # row's; plus e3, it is left leading at column 3, which no pivot leads
+        pivots = [{0: 2, 1: 2}, {1: 3, 2: 3}, {2: 5, 3: 5}]
+        dependent = {0: 3, 1: 6, 2: 8, 3: 5}
+        assert rank(pivots + [dependent]) == 3
+        assert rank(pivots + [dependent, {**dependent, 3: 6}]) == 4
 
     def test_rank_skips_stale_keys(self):
-        # Pivoting row 0 moves row 1's leading column from 0 to 1, so row 1's
-        # first key is stale; pivoting on it would count row 2, which is
-        # row 1 - row 0, as independent.
+        # Row 1 leads at column 0, row 0's pivot; reduced by row 0 it is row 2
+        # (row 1 - row 0) and becomes the pivot at column 1, where row 2 must
+        # then vanish, not be counted as independent.
         rows = [{0: F(1), 1: F(1)}, {0: F(1), 2: F(1)}, {1: F(-1), 2: F(1)}]
         assert rank(rows) == 2
 
     def test_rank_skips_rows_already_pivoted(self):
-        # Row 0 is pivoted on column 0 first; column 1, row 1's pivot, is
-        # then held only by row 0, which must not be eliminated or counted again.
+        # Column 1 is held by row 0 but led by row 1: row 1 becomes its pivot,
+        # and row 0, already a pivot, is neither reduced nor counted again.
         assert rank([{0: F(1), 1: F(1)}, {1: F(1), 2: F(1)}]) == 2
         assert rank([{0: 1, 1: 1}, {1: 1, 2: 1}]) == 2
 
     @given(sparse_rows())
     def test_rank_matches_rref(self, rows):
+        before = [dict(r) for r in rows]
         assert rank(rows) == len(rref(rows)[0])
+        assert rows == before
 
     @pytest.mark.parametrize("coeffs", [SMALL_INTS, PAST_2_64], ids=["int", "past-2^64"])
     @given(data=st.data())
     def test_rank_matches_rref_on_int_rows(self, coeffs, data):
         rows = data.draw(sparse_rows(coeffs))
+        before = [dict(r) for r in rows]
         assert rank(rows) == len(rref([{c: F(v) for c, v in r.items()} for r in rows])[0])
+        assert rows == before
 
     def test_nullspace_small(self):
         # x + y = 0 over three unknowns: kernel is 2-dimensional
