@@ -24,7 +24,7 @@ from .fincard import (
     sigma_cycle,
 )
 from .fincard import compose as compose_finmap
-from .poly import Poly, PolyMap, coordinate_map, identity_map, zero_map
+from .poly import Poly, PolyMap, coordinate_map, identity_map, linear_map, zero_map
 from .poly import compose as compose_polymap
 from .tangent import (
     TangentCoords,

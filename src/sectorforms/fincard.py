@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 EPSILON = "epsilon"
@@ -484,6 +485,9 @@ def check_relations(max_n: int,
 
     Both sides of each instance are evaluated left to right on plain
     0-based tables and compared with their endpoints for exact equality.
+    Each step composes the table so far with the next generator's table
+    by one `operator.itemgetter` call, or by `map` on a domain of 0 or
+    1 elements, where `itemgetter` gives no tuple.
     Each distinct (kind, n, i) triple is validated as a `Generator` and
     realized through ``realize`` once per call, on its first use.  The
     hook lets tests corrupt a generator realization and watch the sweep
@@ -509,7 +513,10 @@ def check_relations(max_n: int,
             d, c, t = table(key)
             if cod != d:
                 raise CompositionError(f"cod {cod} != dom {d}")
-            acc, cod = tuple(map(t.__getitem__, acc)), c
+            # itemgetter of two or more indices returns their tuple; of
+            # one it returns the bare entry, and of none it cannot be made
+            acc = itemgetter(*acc)(t) if dom > 1 else tuple(map(t.__getitem__, acc))
+            cod = c
         return dom, cod, acc
 
     reports = []

@@ -5,11 +5,13 @@ exponent tuples to nonzero coefficients, so equality is decidable term
 by term and every identity in this package is checked exactly.  There is
 no floating point anywhere.
 
-A `PolyMap` holds one polynomial per output.  A coordinate map built by
-`coordinate_map`, `identity_map` or `zero_map` (each output an input
-coordinate or 0) is held as its table instead, and `compose`, equality
-and `tangent.tangent_of_map` act on the table without building a
-polynomial (docs/coordinate-layout.md, "Maps held as tables").
+A `PolyMap` holds one polynomial per output, or a table in their place.
+A coordinate map built by `coordinate_map`, `identity_map` or `zero_map`
+(each output an input coordinate or 0) is held as ``picks``, and a linear
+map built by `linear_map` as ``rows``, one sparse integer row per output.
+`compose`, ``+``, equality, `tangent.tangent_of_map` and the pairings of
+two tables give a table again without building a polynomial
+(docs/coordinate-layout.md, "Maps held as tables").
 """
 
 from __future__ import annotations
@@ -269,15 +271,22 @@ _fill = object.__setattr__
 class PolyMap:
     """A polynomial map R^a -> R^b: one component per output coordinate.
 
-    A map built by `coordinate_map`, `identity_map` or `zero_map` is held
-    as its table: ``picks`` has one entry per output, the input index or
-    None for 0, and ``components`` is built from it on first read and
-    kept.  Any other map holds its ``components``, and its ``picks`` is
-    None, whatever the components are.  Compose, T and equality use
-    ``picks`` when it is set.  Immutable: assigning to a field raises.
+    A map built as a table holds one of two tables, and ``components`` is
+    built from it on first read and kept:
+
+    * ``picks``: per output, the input index or None for 0.
+    * ``rows``: per output, a tuple of (input, nonzero int coefficient)
+      pairs sorted by input, the sparse row of a linear map.
+
+    A table whose every row is empty or one entry with coefficient 1 is
+    held as ``picks``, never as ``rows``, so equal tables are equal
+    tuples.  A map built from components holds neither table, whatever
+    the components are.  Compose, ``+``, T, the pairings and equality use
+    the tables when both sides have one.  Immutable: assigning to a field
+    raises.
     """
 
-    __slots__ = ("dom_dim", "cod_dim", "components", "picks")
+    __slots__ = ("dom_dim", "cod_dim", "components", "picks", "rows")
 
     def __init__(self, dom_dim: int, cod_dim: int, components: Iterable[Poly]):
         comps = tuple(components)
@@ -290,6 +299,7 @@ class PolyMap:
         _fill(self, "cod_dim", cod_dim)
         _fill(self, "components", comps)
         _fill(self, "picks", None)
+        _fill(self, "rows", None)
 
     @classmethod
     def _from_components(cls, dom_dim: int, components: tuple[Poly, ...]) -> "PolyMap":
@@ -300,6 +310,7 @@ class PolyMap:
         _fill(out, "cod_dim", len(components))
         _fill(out, "components", components)
         _fill(out, "picks", None)
+        _fill(out, "rows", None)
         return out
 
     @classmethod
@@ -310,25 +321,45 @@ class PolyMap:
         _fill(out, "dom_dim", dom_dim)
         _fill(out, "cod_dim", len(picks))
         _fill(out, "picks", picks)
+        _fill(out, "rows", None)
         return out
+
+    @classmethod
+    def _from_rows(cls, dom_dim: int, rows: tuple[tuple[tuple[int, int], ...], ...]) -> "PolyMap":
+        """Hold a linear map as its sparse rows, already checked and sorted
+        by the caller, or as its picks when every row is empty or one unit
+        entry."""
+        picks = []
+        for row in rows:
+            if not row:
+                picks.append(None)
+            elif len(row) == 1 and row[0][1] == 1:
+                picks.append(row[0][0])
+            else:
+                out = cls.__new__(cls)
+                _fill(out, "dom_dim", dom_dim)
+                _fill(out, "cod_dim", len(rows))
+                _fill(out, "picks", None)
+                _fill(out, "rows", rows)
+                return out
+        return cls._from_picks(dom_dim, tuple(picks))
 
     def __getattr__(self, name):
         # reached only for a slot not filled yet: the components of a map
-        # held as its table; a property for them made every read slower
+        # held as a table; a property for them made every read slower
         if name != "components":
             raise AttributeError(f"'PolyMap' object has no attribute {name!r}")
-        n, picks = self.dom_dim, self.picks
-        zero = Poly._from_terms(n, {})
+        n, rows = self.dom_dim, _table_rows(self)
         # a zero map needs no exponent, however large its domain
-        unit = [0] * n if any(j is not None for j in picks) else None
+        unit = [0] * n if any(rows) else None
         comps = []
-        for j in picks:
-            if j is None:
-                comps.append(zero)
-                continue
-            unit[j] = 1
-            comps.append(Poly._from_terms(n, {tuple(unit): _ONE}))
-            unit[j] = 0
+        for row in rows:
+            terms = {}
+            for j, c in row:
+                unit[j] = 1
+                terms[tuple(unit)] = _ONE if c == 1 else Fraction(c)
+                unit[j] = 0
+            comps.append(Poly._from_terms(n, terms))
         value = tuple(comps)
         _fill(self, name, value)
         return value
@@ -348,9 +379,10 @@ class PolyMap:
             return NotImplemented
         if self.dom_dim != other.dom_dim or self.cod_dim != other.cod_dim:
             return False
-        if self.picks is not None and other.picks is not None:
-            return self.picks == other.picks
-        return self.components == other.components
+        if (self.picks is None and self.rows is None) or (other.picks is None and other.rows is None):
+            return self.components == other.components
+        # two tables, each held in its one form: unit rows only as picks
+        return self.picks == other.picks and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.dom_dim, self.cod_dim, self.components))
@@ -361,6 +393,10 @@ class PolyMap:
     def __add__(self, other: "PolyMap") -> "PolyMap":
         if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
             raise ValueError("dimension mismatch")
+        left, right = _table_rows(self), _table_rows(other)
+        if left is not None and right is not None:
+            return PolyMap._from_rows(self.dom_dim, tuple(_sparse_row(r + s)
+                                                          for r, s in zip(left, right)))
         return PolyMap._from_components(
             self.dom_dim, tuple(a + b for a, b in zip(self.components, other.components)))
 
@@ -382,6 +418,31 @@ class PolyMap:
         return f"PolyMap({self.dom_dim}->{self.cod_dim}: [{body}])"
 
 
+def _table_rows(f: PolyMap) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+    """The sparse rows of a map held as a table, picks read as unit rows;
+    None for a map held as components."""
+    if f.rows is not None:
+        return f.rows
+    if f.picks is not None:
+        return tuple([() if j is None else ((j, 1),) for j in f.picks])
+    return None
+
+
+def _sparse_row(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sum (input, nonzero coefficient) pairs by input and sort them,
+    dropping zero sums."""
+    if len(pairs) < 2:
+        return tuple(pairs)
+    out: list[tuple[int, int]] = []
+    for j, c in sorted(pairs):
+        if out and out[-1][0] == j:
+            c += out.pop()[1]
+            if not c:
+                continue
+        out.append((j, c))
+    return tuple(out)
+
+
 def identity_map(n: int) -> PolyMap:
     return PolyMap._from_picks(n, tuple(range(n)))
 
@@ -399,26 +460,66 @@ def coordinate_map(dom_dim: int, assignment: Iterable[int | None]) -> PolyMap:
     return PolyMap._from_picks(dom_dim, picks)
 
 
+def linear_map(dom_dim: int, rows: Iterable[Mapping[int, int]]) -> PolyMap:
+    """The linear map whose output k is the sum of c * x_j over the items
+    j: c of rows[k]; every j and c is an int, and zeros are dropped."""
+    table = []
+    for row in rows:
+        for j, c in row.items():
+            if type(j) is not int or type(c) is not int:
+                raise TypeError(f"item {j!r}: {c!r} is not a pair of ints")
+            if not 0 <= j < dom_dim:
+                raise ValueError(f"variable {j} out of range")
+        table.append(tuple(sorted([(j, c) for j, c in row.items() if c])))
+    return PolyMap._from_rows(dom_dim, tuple(table))
+
+
+def paired_outputs(f: PolyMap, g: PolyMap):
+    """The outputs of two maps on one domain, and the constructor of a map
+    from a selection of them (called as ``wrap(dom_dim, outputs)``).
+
+    When both are tables the outputs are table entries, picks or sparse
+    rows, and a selection stays a table; otherwise they are components.
+    """
+    if f.picks is not None and g.picks is not None:
+        return f.picks, g.picks, PolyMap._from_picks
+    fr, gr = _table_rows(f), _table_rows(g)
+    if fr is not None and gr is not None:
+        return fr, gr, PolyMap._from_rows
+    return f.components, g.components, PolyMap._from_components
+
+
 def compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite: first ``f``, then ``g``.
 
     Four routes, tried in order:
 
-    * both are tables: the composite is the table ``f.picks[j]`` for
-      each ``j`` in ``g.picks``; no polynomial is built.
-    * g is a table: the composite picks component j of f for each x_j
+    * both are tables: two picks give the table ``f.picks[j]`` for each
+      ``j`` in ``g.picks``; otherwise row k of the composite sums c times
+      f's row j over the pairs (j, c) of g's row k.  No polynomial is
+      built, and a composite whose rows are all units is held as picks.
+    * g is picks: the composite picks component j of f for each x_j
       and one zero polynomial for each 0; nothing is substituted.
-    * f is a table: each component of g has its variables renamed by
+    * f is picks: each component of g has its variables renamed by
       f's table (`_rename`).
-    * otherwise each component of g is expanded by `Poly.subs`.
+    * otherwise each component of g is expanded by `Poly.subs`, a rows
+      map reading the components built from its rows.
     """
     if f.cod_dim != g.dom_dim:
         raise ValueError(f"cod {f.cod_dim} != dom {g.dom_dim}")
     n, table, picks = f.dom_dim, f.picks, g.picks
+    if picks is not None and table is not None:
+        return PolyMap._from_picks(n, tuple([None if j is None else table[j] for j in picks]))
+    if table is not None or f.rows is not None:
+        if picks is not None:
+            inner = f.rows
+            return PolyMap._from_rows(n, tuple([() if j is None else inner[j] for j in picks]))
+        if g.rows is not None:
+            inner = _table_rows(f)
+            return PolyMap._from_rows(n, tuple([_sparse_row([(i, c * d) for j, c in row
+                                                             for i, d in inner[j]])
+                                                for row in g.rows]))
     if picks is not None:
-        if table is not None:
-            return PolyMap._from_picks(n, tuple([None if j is None else table[j]
-                                                 for j in picks]))
         args, zero = f.components, Poly._from_terms(n, {})
         return PolyMap._from_components(n, tuple(zero if j is None else args[j]
                                                  for j in picks))

@@ -36,6 +36,8 @@ from .poly import (
     compose,
     coordinate_map,
     identity_map,
+    linear_map,
+    paired_outputs,
     zero_map,
 )
 
@@ -84,6 +86,9 @@ def tangent_of_map(f: PolyMap) -> PolyMap:
     if f.picks is not None:
         return PolyMap._from_picks(2 * a, f.picks + tuple([None if j is None else a + j
                                                            for j in f.picks]))
+    if f.rows is not None:
+        return PolyMap._from_rows(2 * a, f.rows + tuple([tuple([(a + j, c) for j, c in row])
+                                                         for row in f.rows]))
     n, pad = 2 * a, (0,) * a
     base, tangent = [], []
     for comp in f.components:
@@ -129,9 +134,8 @@ def zero_section(m: int) -> PolyMap:
 
 def fibre_addition(m: int) -> PolyMap:
     """(x, u, w) |-> (x, u + w) on the fibre product of two tangent bundles."""
-    comps = [Poly.var(3 * m, j) for j in range(m)]
-    comps += [Poly.var(3 * m, m + j) + Poly.var(3 * m, 2 * m + j) for j in range(m)]
-    return PolyMap(3 * m, 2 * m, tuple(comps))
+    return linear_map(3 * m, [{j: 1} for j in range(m)]
+                      + [{m + j: 1, 2 * m + j: 1} for j in range(m)])
 
 
 # -- the differential object R^k ---------------------------------------
@@ -223,17 +227,6 @@ def tangent_fibre_map(f: PolyMap) -> PolyMap:
     return fibre_pair(compose(pi1, tf), compose(pi2, tf))
 
 
-def _outputs(f: PolyMap, g: PolyMap):
-    """The outputs of two maps on one domain, and how to wrap a selection.
-
-    When both were built as tables, the outputs are table entries and the
-    selection stays a table; otherwise they are components.
-    """
-    if f.picks is not None and g.picks is not None:
-        return f.picks, g.picks, PolyMap._from_picks
-    return f.components, g.components, PolyMap._from_components
-
-
 def fibre_pair(f: PolyMap, g: PolyMap) -> PolyMap:
     """Pair two maps into T Y over a shared base as a map into the fibre product.
 
@@ -242,7 +235,7 @@ def fibre_pair(f: PolyMap, g: PolyMap) -> PolyMap:
     if f.dom_dim != g.dom_dim or f.cod_dim != g.cod_dim or f.cod_dim % 2:
         raise ValueError("expected two maps into the same tangent space")
     y = f.cod_dim // 2
-    fb, gb, wrap = _outputs(f, g)
+    fb, gb, wrap = paired_outputs(f, g)
     if fb[:y] != gb[:y]:
         raise ValueError("maps disagree on the base block")
     return wrap(f.dom_dim, fb[:y] + fb[y:] + gb[y:])
@@ -258,7 +251,7 @@ def tangent_pair(f: PolyMap, g: PolyMap) -> PolyMap:
     if f.dom_dim != g.dom_dim or f.cod_dim != g.cod_dim or f.cod_dim % 4:
         raise ValueError("expected two maps into the same double tangent space")
     m = f.cod_dim // 4
-    fb, gb, wrap = _outputs(f, g)
+    fb, gb, wrap = paired_outputs(f, g)
     if fb[:m] != gb[:m] or fb[2 * m:3 * m] != gb[2 * m:3 * m]:
         raise ValueError("maps disagree under the tangent projection")
     return wrap(f.dom_dim, fb[:m] + fb[m:2 * m] + gb[m:2 * m]
@@ -337,8 +330,7 @@ def _differential_object_axioms(mu: int):
 
     def principal_additive():
         # additivity of the principal projection under the tangent of +
-        plus = PolyMap(2 * mu, mu,
-                       tuple(Poly.var(2 * mu, j) + Poly.var(2 * mu, mu + j) for j in range(mu)))
+        plus = linear_map(2 * mu, [{j: 1, mu + j: 1} for j in range(mu)])
         tpi1 = T(coordinate_map(2 * mu, range(mu)))
         tpi2 = T(coordinate_map(2 * mu, range(mu, 2 * mu)))
         return (compose(T(plus), phat(mu)),

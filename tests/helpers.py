@@ -20,6 +20,7 @@ from sectorforms.fincard import (
     _relation_instances,
     compose as fc_compose,
     classify,
+    eval_word,
     generator_map,
     identity,
     split_map,
@@ -323,6 +324,30 @@ def reference_check_relations(max_n, families=RELATION_FAMILIES, realize=generat
                 failures.append({"family": family, **params,
                                  "lhs": list(left.table), "rhs": list(right.table)})
         reports.append(RelationReport(family, max_n, checked, tuple(failures)))
+    return reports
+
+
+def _word_map(keys):
+    """A nonempty word of (kind, n, i) triples, evaluated by `eval_word`."""
+    gens = tuple(Generator(*k) for k in keys)
+    return eval_word(GenWord(gens[0].map_dom, gens[-1].map_cod, gens))
+
+
+def eval_word_check_relations(max_n):
+    """The `RelationReport` list of `check_relations(max_n)` with the
+    standard generators, each side of each instance a `GenWord` evaluated
+    by `fincard.eval_word`."""
+    reports = []
+    for family in RELATION_FAMILIES:
+        instances = list(_relation_instances(family, max_n))
+        failures = []
+        for params, lhs, rhs in instances:
+            left = _word_map(lhs)
+            right = identity(rhs) if isinstance(rhs, int) else _word_map(rhs)
+            if left != right:
+                failures.append({"family": family, **params,
+                                 "lhs": list(left.table), "rhs": list(right.table)})
+        reports.append(RelationReport(family, max_n, len(instances), tuple(failures)))
     return reports
 
 

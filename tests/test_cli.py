@@ -64,6 +64,21 @@ class TestVerifyRelations:
         code, _, _ = run(capsys, "verify-relations", "--max-n", "13", "--cap-n", "13")
         assert code == 0
 
+    # sha256 of stdout at each benchmark size, as the map-per-step sweep wrote it
+    @pytest.mark.parametrize("max_n, checked, digest", [
+        (8, 1069, "9d04035842281057bf9603d8d96125331d49f6c280a6df4ac018882a66047748"),
+        (9, 1468, "8934c4dd99d3639bc07191675ef5d0b9be52b3b5bf194909a86ce3fe07f80a7d"),
+        (10, 1956, "5771689357035db8169fe242e1a6b21ef5fc5a9da88e1f28166312465406701d"),
+        (11, 2542, "23ffc20d121801a1bd2f236af3962ce624650c1a2c8ae4de11bef8bbe44c04fe"),
+        (12, 3235, "ca421623a534024d6a2fd19d6a77f8514ea7d065d8a0a1dfcd635b7d361504b7"),
+    ])
+    def test_report_bytes_at_benchmark_sizes(self, capsys, max_n, checked, digest):
+        code = main(["verify-relations", "--max-n", str(max_n)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert captured.err == f"10 families, {checked} instances, 0 failures\n"
+
 
 class TestVerifyAxioms:
     def test_passes(self, capsys):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (all_maps, all_surjections, reference_check_relations, reference_factor_map,
+from helpers import (all_maps, all_surjections, eval_word_check_relations,
+                     reference_check_relations, reference_factor_map,
                      reference_factor_surjection, sigma_cycle_word)
 from sectorforms.fincard import (
     DELTA,
@@ -459,6 +460,42 @@ class TestRelations:
         reports = check_relations(max_n, realize=realize)
         assert reports == reference_check_relations(max_n, realize=realize)
         assert all(r.ok for r in reports) == (realize is generator_map)
+
+    @pytest.mark.parametrize("max_n", range(2, 7))
+    def test_matches_eval_word(self, max_n):
+        assert check_relations(max_n) == eval_word_check_relations(max_n)
+
+    def test_corrupt_domain_zero_coface(self):
+        # delta(0, 1): 0 -> 1 read as 0 -> 2; words over the empty table
+        # compose with map, and the next step's domain no longer matches
+        def realize(g):
+            return FinMap(0, 2, ()) if (g.kind, g.n, g.i) == (DELTA, 0, 1) else generator_map(g)
+
+        failures = [f for r in check_relations(4, realize=realize) for f in r.failures]
+        assert failures == [
+            {"family": "pure-coface", "n": 0, "i": 1, "j": 1, "error": "cod 2 != dom 1"},
+            {"family": "fundamental-coface-symmetry", "n": 0, "case": "square",
+             "error": "cod 2 != dom 1"},
+        ]
+
+    def test_corrupt_domain_one_coface(self):
+        # delta(1, 1) read as delta(1, 2); a one-entry table composes with
+        # map, since itemgetter of one index returns no tuple
+        def realize(g):
+            return FinMap(1, 2, (1,)) if (g.kind, g.n, g.i) == (DELTA, 1, 1) else generator_map(g)
+
+        failures = [f for r in check_relations(4, realize=realize) for f in r.failures]
+        assert failures == [
+            {"family": "pure-coface", "n": 1, "i": 1, "j": 1, "lhs": [2], "rhs": [1]},
+            {"family": "pure-coface", "n": 1, "i": 1, "j": 2, "lhs": [2], "rhs": [1]},
+            {"family": "coface-codegeneracy", "n": 2, "i": 1, "j": 2,
+             "lhs": [2, 2], "rhs": [1, 1]},
+            {"family": "coface-symmetry", "n": 1, "i": 1, "case": "shift", "lhs": [2], "rhs": [1]},
+            {"family": "fundamental-coface-codegeneracy", "n": 1, "j": 1, "case": "slide",
+             "lhs": [2, 2], "rhs": [1, 1]},
+            {"family": "fundamental-coface-symmetry", "n": 1, "case": "square",
+             "lhs": [1], "rhs": [2]},
+        ]
 
     def test_realizes_each_generator_once(self):
         calls = []

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -14,10 +15,11 @@ from sectorforms.poly import (
     compose,
     coordinate_map,
     identity_map,
+    linear_map,
     zero_map,
 )
 from sectorforms.sector import coface, exterior_derivative
-from sectorforms.tangent import tangent_of_map
+from sectorforms.tangent import fibre_pair, origin_lift, tangent_of_map, tangent_pair
 
 from helpers import random_sector_form, reference_mul
 
@@ -519,3 +521,157 @@ class TestTableMaps:
             for p in h.components:
                 assert_built(p, 2)
         assert (f + g).components == tuple(p + q for p, q in zip(f.components, g.components))
+
+
+# -- linear maps held as sparse rows -------------------------------------
+
+@st.composite
+def any_maps(draw, dom_dim, cod_dim):
+    """A map R^a -> R^b: a coordinate table, a linear map of int rows
+    (negative coefficients included), or a random polynomial map."""
+    kind = draw(st.sampled_from(("table", "linear", "random")))
+    if kind == "table":
+        return coordinate_map(dom_dim, draw(tables(dom_dim, cod_dim)))
+    if kind == "linear":
+        row = (st.dictionaries(st.integers(0, dom_dim - 1), st.integers(-2, 2), max_size=3)
+               if dom_dim else st.just({}))
+        return linear_map(dom_dim, draw(st.lists(row, min_size=cod_dim, max_size=cod_dim)))
+    return draw(polymaps(dom_dim, cod_dim))
+
+
+def rebuilt(f):
+    """The same map held as components, so every operation takes the polynomial route."""
+    return PolyMap(f.dom_dim, f.cod_dim, f.components)
+
+
+def is_table(f):
+    return f.picks is not None or f.rows is not None
+
+
+def is_unit_or_zero(p):
+    """p is 0 or one variable with coefficient 1."""
+    if len(p.terms) != 1:
+        return p.is_zero
+    ((exp, c),) = p.terms.items()
+    return c == 1 and sum(exp) == 1
+
+
+def assert_same_map(got, want, table):
+    """``got`` equals the oracle ``want`` component by component, as ``==`` and
+    as a hash; it is a table exactly when ``table``, and then held as picks
+    exactly when every component is 0 or a unit variable, its rows sorted
+    by input with nonzero int coefficients."""
+    assert (got.dom_dim, got.cod_dim) == (want.dom_dim, want.cod_dim)
+    assert got.components == want.components
+    assert got == want and want == got and hash(got) == hash(want)
+    for p in got.components:
+        assert_built(p, got.dom_dim)
+    assert is_table(got) is table
+    if table:
+        assert (got.picks is not None) is all(map(is_unit_or_zero, got.components))
+    if got.rows is not None:
+        for row in got.rows:
+            assert [j for j, _ in row] == sorted({j for j, _ in row})
+            assert all(type(c) is int and c for _, c in row)
+
+
+@st.composite
+def linear_cases(draw):
+    """f, h: R^a -> R^b and g: R^b -> R^c, each any of the three kinds."""
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+    return draw(any_maps(a, b)), draw(any_maps(b, c)), draw(any_maps(a, b))
+
+
+@st.composite
+def pairing_cases(draw, blocks, shared):
+    """(f, g): two maps into ``blocks`` blocks of y outputs that agree on the
+    ``shared`` blocks; g is f plus a map that is 0 there."""
+    a, y = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    free = [k for k in range(blocks) if k not in shared]
+    f = draw(any_maps(a, blocks * y))
+    h = draw(any_maps(a, len(free) * y))
+    # R^(len(free) y) -> R^(blocks y): block free[i] reads input block i
+    spread = coordinate_map(len(free) * y, [free.index(k) * y + j if k in free else None
+                                            for k in range(blocks) for j in range(y)])
+    return f, f + compose(h, spread)
+
+
+class TestLinearRows:
+    """Maps held as sparse int rows against the same maps held as components."""
+
+    @given(linear_cases())
+    def test_operations_match_the_component_route(self, case):
+        f, g, h = case
+        assert_same_map(compose(f, g), compose(rebuilt(f), rebuilt(g)),
+                        is_table(f) and is_table(g))
+        assert_same_map(tangent_of_map(f), tangent_of_map(rebuilt(f)), is_table(f))
+        assert_same_map(f + h, rebuilt(f) + rebuilt(h), is_table(f) and is_table(h))
+        assert (f == h) is (h == f) is (rebuilt(f) == rebuilt(h))
+        if f == h:
+            assert hash(f) == hash(h)
+
+    @given(pairing_cases(2, shared=(0,)))
+    def test_fibre_pair_matches_the_component_route(self, case):
+        f, g = case
+        assert_same_map(fibre_pair(f, g), fibre_pair(rebuilt(f), rebuilt(g)),
+                        is_table(f) and is_table(g))
+
+    @given(pairing_cases(4, shared=(0, 2)))
+    def test_tangent_pair_matches_the_component_route(self, case):
+        f, g = case
+        assert_same_map(tangent_pair(f, g), tangent_pair(rebuilt(f), rebuilt(g)),
+                        is_table(f) and is_table(g))
+
+    def test_composite_that_cancels_to_a_table_is_held_as_picks(self):
+        shear, unshear = linear_map(2, [{0: 1, 1: 1}, {1: 1}]), linear_map(2, [{0: 1, 1: -1}, {1: 1}])
+        assert shear.rows == (((0, 1), (1, 1)), ((1, 1),)) and shear.picks is None
+        assert compose(shear, unshear).picks == (0, 1)
+        assert compose(shear, unshear) == identity_map(2)
+        assert (shear + linear_map(2, [{1: -1}, {1: -1}])).picks == (0, None)
+        assert linear_map(3, [{2: 1}, {}, {0: 0, 1: 1}]).picks == (2, None, 1)
+
+    def test_rows_and_picks_tables_never_compare_equal(self):
+        # a table of unit rows is held as picks, so two tables of different
+        # kinds are different maps
+        double = linear_map(1, [{0: 2}])
+        assert double != coordinate_map(1, [0]) and coordinate_map(1, [0]) != double
+        assert double == rebuilt(double) and hash(double) == hash(rebuilt(double))
+        assert double.components == (Poly(1, {(1,): 2}),)
+
+    def test_linear_map_checks(self):
+        with pytest.raises(ValueError, match="out of range"):
+            linear_map(2, [{2: 1}])
+        with pytest.raises(ValueError, match="out of range"):
+            linear_map(2, [{-1: 1}])
+        # every item is checked before zeros are dropped: a falsy
+        # coefficient that is not an int is refused like a nonzero one
+        for c in (F(1, 2), 1.0, True, 0.0, False, F(0)):
+            with pytest.raises(TypeError, match="pair of ints"):
+                linear_map(2, [{0: c}])
+        for j in (1.0, True, F(1)):
+            with pytest.raises(TypeError, match="pair of ints"):
+                linear_map(2, [{j: 1}])
+            with pytest.raises(TypeError, match="pair of ints"):
+                linear_map(2, [{j: 0}])
+
+    def test_rows_substitute_into_components(self):
+        # (x, y) |-> (x + y, x - 2y) substituted into x0^2 x1 + 3 x1
+        f = linear_map(2, [{0: 1, 1: 1}, {0: 1, 1: -2}])
+        g = PolyMap(2, 1, (Poly(2, {(2, 1): 1, (0, 1): 3}),))
+        x, y = Poly.var(2, 0), Poly.var(2, 1)
+        want = (x + y) * (x + y) * (x - y.scale(2)) + (x - y.scale(2)).scale(3)
+        assert compose(f, g).components == (want,)
+        # an empty row substitutes 0: the terms in x0 vanish
+        half = linear_map(2, [{}, {0: 1, 1: -2}])
+        assert half.rows is not None
+        assert compose(half, g).components == ((x - y.scale(2)).scale(3),)
+
+    def test_high_powers_expand_to_binomials(self):
+        # (x0 + x1)^20 has 21 terms, and (x0 - x1)^12 alternates in sign
+        x20 = PolyMap(1, 1, (Poly(1, {(20,): 1}),))
+        got = compose(linear_map(2, [{0: 1, 1: 1}]), x20).components
+        assert got == (Poly(2, {(k, 20 - k): math.comb(20, k) for k in range(21)}),)
+        x12 = PolyMap(1, 1, (Poly(1, {(12,): 1}),))
+        got = compose(linear_map(2, [{0: 1, 1: -1}]), x12).components
+        assert got == (Poly(2, {(k, 12 - k): (-1) ** (12 - k) * math.comb(12, k)
+                                for k in range(13)}),)

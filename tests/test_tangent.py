@@ -16,7 +16,8 @@ from sectorforms.fincard import (
     probe_surjection,
     sigma_cycle,
 )
-from sectorforms.poly import Poly, PolyMap, compose, coordinate_map, identity_map, zero_map
+from sectorforms.poly import (Poly, PolyMap, compose, coordinate_map, identity_map, linear_map,
+                              zero_map)
 from sectorforms.sector import _coface_table
 from sectorforms.tangent import (
     TangentCoords,
@@ -218,6 +219,8 @@ class TestStructural:
 
     def test_addition(self):
         assert fibre_addition(1)((F(1), F(2), F(3))) == (F(1), F(5))
+        # (x1, x2, u1, u2, w1, w2) |-> (x1, x2, u1 + w1, u2 + w2), held as rows
+        assert fibre_addition(2).rows == (((0, 1),), ((1, 1),), ((2, 1), (4, 1)), ((3, 1), (5, 1)))
 
 
 class TestDifferentialObject:
@@ -431,6 +434,54 @@ class TestAxioms:
         for name, _depth, build in tangent._coherence_axioms(mu):
             lhs, rhs = build()
             assert lhs == rhs, name
+
+    @pytest.mark.parametrize("mu", (1, 2, 3, 4))
+    def test_additive_axioms_build_no_polynomial(self, monkeypatch, mu):
+        # fibre addition and + are linear maps held as rows, so their T,
+        # composites with tables and pairings are rows and compare as rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("an additive axiom built a polynomial")
+
+        axioms = {name: build for source in (tangent._bundle_morphism_axioms,
+                                             tangent._differential_object_axioms)
+                  for name, _depth, build in source(mu)}
+        for name in ("var", "_from_terms", "__init__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        for name in ("lift-additive", "flip-additive", "principal-additive"):
+            lhs, rhs = axioms[name]()
+            assert lhs.rows is not None and rhs.rows is not None, name
+            assert lhs == rhs, name
+
+    def test_mutated_addition_detected(self, monkeypatch):
+        def twisted(m):
+            # (x, u, w) |-> (x, x + u + w): the sum leans on the base point
+            return linear_map(3 * m, [{j: 1} for j in range(m)]
+                              + [{j: 1, m + j: 1, 2 * m + j: 1} for j in range(m)])
+
+        def curved(m):
+            # (x, u, w) |-> (x, u + w + u w), held as components
+            v = [Poly.var(3 * m, j) for j in range(3 * m)]
+            return PolyMap(3 * m, 2 * m, v[:m] + [v[m + j] + v[2 * m + j] + v[m + j] * v[2 * m + j]
+                                                  for j in range(m)])
+
+        naturality = [f"naturality-add[{idx}]" for idx in range(4)]
+        monkeypatch.setattr(tangent, "fibre_addition", twisted)
+        rep = verify_tangent_axioms(1, depth=2)
+        assert [f["axiom"] for f in rep.failures] == ["lift-additive"] + naturality
+        monkeypatch.setattr(tangent, "fibre_addition", curved)
+        rep = verify_tangent_axioms(1, depth=2)
+        assert [f["axiom"] for f in rep.failures] == ["lift-additive", "flip-additive"] + naturality
+        assert not any("error" in f for f in rep.failures)
+
+    def test_additive_axioms_cannot_see_a_linear_addition(self, monkeypatch):
+        # the additive axioms say that lift, flip and each Tf are additive,
+        # and every linear map of the fibres is, so (x, u - w) passes them all
+        def minus(m):
+            return linear_map(3 * m, [{j: 1} for j in range(m)]
+                              + [{m + j: 1, 2 * m + j: -1} for j in range(m)])
+
+        monkeypatch.setattr(tangent, "fibre_addition", minus)
+        assert verify_tangent_axioms(1, depth=2).ok
 
     def test_unbuildable_axiom_is_a_failure(self, monkeypatch):
         def broken_pair(f, g):
