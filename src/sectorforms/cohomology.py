@@ -21,12 +21,12 @@ manufactures spurious cohomology at the top of the filtration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
-from .linalg import rank
+from .fincard import _fill, _Record
+from .linalg import ranks
 from .poly import _ONE, Poly
 from .sector import SectorForm, _coface_sums, _exterior_signs
 
@@ -95,16 +95,19 @@ def sector_basis(n: int, m: int, d: int, max_candidates: int = 20000) -> list[Se
             for exp in sector_candidates(n, m, d)]
 
 
-@dataclass(frozen=True)
-class PartitionBasis:
+class PartitionBasis(_Record):
     """The basis `sector_basis(n, m, d)` as its two factors, with no form
     built: form i*len(tails) + j is the monomial with the exponent
     ``bases[i] + tails[j]``."""
 
-    n: int
-    m: int
-    bases: tuple[tuple[int, ...], ...]
-    tails: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "m", "bases", "tails")
+
+    def __init__(self, n: int, m: int, bases: tuple[tuple[int, ...], ...],
+                 tails: tuple[tuple[int, ...], ...]):
+        _fill(self, "n", n)
+        _fill(self, "m", m)
+        _fill(self, "bases", bases)
+        _fill(self, "tails", tails)
 
     def __len__(self) -> int:
         return len(self.bases) * len(self.tails)
@@ -175,30 +178,43 @@ def _singular_vectors(n: int, m: int, d: int) -> list[list[tuple[tuple[int, ...]
     return out
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(_Record):
     """Dimensions and ranks of the degree-bounded sector-form complex.
 
-    ``boundary_ranks[i]`` is the rank of the boundary leaving level i at
-    the stated bound; ``image_ranks_raised[i]`` is its rank from the
-    bound-(d+1) space, which is what the cohomology subtraction uses:
-    H[i] = kernel_dims[i] - image_ranks_raised[i-1].
+    Every field but the first three and ``complex_verified`` is a tuple
+    of ints, one per level, and the ``singular_`` ones are those of the
+    alternating subcomplex.  ``boundary_ranks[i]`` is the rank of the
+    boundary leaving level i at the stated bound; ``image_ranks_raised[i]``
+    is its rank from the bound-(d+1) space, which is what the cohomology
+    subtraction uses: H[i] = kernel_dims[i] - image_ranks_raised[i-1].
     """
 
-    base_dim: int
-    degree_bound: int
-    levels: int
-    dims: tuple[int, ...]
-    kernel_dims: tuple[int, ...]
-    boundary_ranks: tuple[int, ...]
-    image_ranks_raised: tuple[int, ...]
-    cohomology: tuple[int, ...]
-    singular_dims: tuple[int, ...]
-    singular_kernel_dims: tuple[int, ...]
-    singular_boundary_ranks: tuple[int, ...]
-    singular_image_ranks_raised: tuple[int, ...]
-    singular_cohomology: tuple[int, ...]
-    complex_verified: bool
+    __slots__ = ("base_dim", "degree_bound", "levels",
+                 "dims", "kernel_dims", "boundary_ranks", "image_ranks_raised", "cohomology",
+                 "singular_dims", "singular_kernel_dims", "singular_boundary_ranks",
+                 "singular_image_ranks_raised", "singular_cohomology", "complex_verified")
+
+    def __init__(self, base_dim: int, degree_bound: int, levels: int,
+                 dims: tuple[int, ...], kernel_dims: tuple[int, ...],
+                 boundary_ranks: tuple[int, ...], image_ranks_raised: tuple[int, ...],
+                 cohomology: tuple[int, ...], singular_dims: tuple[int, ...],
+                 singular_kernel_dims: tuple[int, ...], singular_boundary_ranks: tuple[int, ...],
+                 singular_image_ranks_raised: tuple[int, ...],
+                 singular_cohomology: tuple[int, ...], complex_verified: bool):
+        _fill(self, "base_dim", base_dim)
+        _fill(self, "degree_bound", degree_bound)
+        _fill(self, "levels", levels)
+        _fill(self, "dims", dims)
+        _fill(self, "kernel_dims", kernel_dims)
+        _fill(self, "boundary_ranks", boundary_ranks)
+        _fill(self, "image_ranks_raised", image_ranks_raised)
+        _fill(self, "cohomology", cohomology)
+        _fill(self, "singular_dims", singular_dims)
+        _fill(self, "singular_kernel_dims", singular_kernel_dims)
+        _fill(self, "singular_boundary_ranks", singular_boundary_ranks)
+        _fill(self, "singular_image_ranks_raised", singular_image_ranks_raised)
+        _fill(self, "singular_cohomology", singular_cohomology)
+        _fill(self, "complex_verified", complex_verified)
 
     def consistent(self) -> bool:
         """The subtraction identity holds and no cohomology rank is negative."""
@@ -216,16 +232,19 @@ def _level_ranks(n: int, vectors: list[list[tuple[tuple[int, ...], int]]], m: in
     """(forms of base degree <= d, the rank of their boundary, the rank of
     the boundary on the whole basis, d∘d vanishes on it) for the basis of
     n-forms on R^m given as integer vectors.  One `_coface_sums` call
-    gives the row of d of every form, and a second one d∘d of every row."""
+    gives the row of d of every form, and a second one d∘d of every row.
+    Both ranks come from one elimination that takes the low forms' rows
+    first."""
     if not vectors:
         return 0, 0, 0, True
     rows = [{e: s for e, s in sums.items() if s}
             for sums in _coface_sums(vectors, m, n, _exterior_signs(n))]
-    low = [row for row, vector in zip(rows, vectors) if sum(vector[0][0][:m]) <= d]
-    r = rank(low)
-    whole = r if len(low) == len(rows) else rank(rows)
+    low, high = [], []
+    for row, vector in zip(rows, vectors):
+        (low if sum(vector[0][0][:m]) <= d else high).append(row)
+    counts = [0] + ranks(low + high)
     squares = _coface_sums([row.items() for row in rows], m, n + 1, _exterior_signs(n + 1))
-    return len(low), r, whole, not any(any(sums.values()) for sums in squares)
+    return len(low), counts[len(low)], counts[-1], not any(any(sums.values()) for sums in squares)
 
 
 def complex_report(m: int, d: int, n_max: int, max_candidates: int = 20000) -> ComplexReport:

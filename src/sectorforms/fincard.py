@@ -22,14 +22,17 @@ triple.
 
 Composition is diagrammatic throughout: ``compose(f, g)`` applies ``f``
 first.
+
+The records of the package, here `FinMap`, `Generator`, `GenWord`,
+`Classification` and `RelationReport`, are immutable values that
+compare and hash by their fields, built on `_Record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from operator import attrgetter, itemgetter
 
 EPSILON = "epsilon"
 DELTA = "delta"
@@ -45,40 +48,87 @@ class CompositionError(ValueError):
     """Raised when arities do not line up for composition."""
 
 
-@dataclass(frozen=True)
-class FinMap:
+# the fields of an immutable class (a _Record, a poly.PolyMap) are set
+# through this; the class itself refuses assignment
+_fill = object.__setattr__
+
+
+class _Record:
+    """An immutable value: its fields are its ``__slots__``, in order, or
+    its parent's when it declares none.
+
+    A subclass's ``__init__`` checks its arguments and sets each field
+    with `_fill`.  Equality and hash go by the tuple of fields, and only
+    between instances of one class; assigning or deleting a field raises
+    AttributeError; copy and pickle rebuild through the constructor, so
+    its checks run again.  The repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # a subclass that declares no slots keeps its parent's fields
+        if cls.__slots__:
+            cls._names = cls.__slots__
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = zip(self._names, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class FinMap(_Record):
     """A total function between finite cardinals, as a 1-based table.
 
     ``table[x-1]`` is the image of element x; ``dom == 0`` gives the
     empty table.  Instances are immutable and hashable.
     """
 
-    dom: int
-    cod: int
-    table: tuple[int, ...]
+    __slots__ = ("dom", "cod", "table")
 
-    def __post_init__(self):
-        if self.dom < 0 or self.cod < 0:
+    def __init__(self, dom: int, cod: int, table: Iterable[int]):
+        if dom < 0 or cod < 0:
             raise ValueError("cardinals must be nonnegative")
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        if len(table) != self.dom:
-            raise ValueError(f"table length {len(table)} != dom {self.dom}")
+        table = tuple(table)
+        if len(table) != dom:
+            raise ValueError(f"table length {len(table)} != dom {dom}")
         for x, y in enumerate(table, start=1):
             if not isinstance(y, int) or isinstance(y, bool):
                 raise ValueError(f"entry {x} -> {y!r} is not an integer")
-            if not 1 <= y <= self.cod:
-                raise ValueError(f"entry {x} -> {y} outside 1..{self.cod}")
+            if not 1 <= y <= cod:
+                raise ValueError(f"entry {x} -> {y} outside 1..{cod}")
+        _fill(self, "dom", dom)
+        _fill(self, "cod", cod)
+        _fill(self, "table", table)
 
     @classmethod
     def _from_table(cls, dom: int, cod: int, table: tuple[int, ...]) -> "FinMap":
         """Wrap a table the package built itself, without re-checking it.
 
-        The caller guarantees what `__post_init__` would enforce: ``table``
+        The caller guarantees what `__init__` would enforce: ``table``
         is a tuple of ``dom`` ints, each in 1..cod.
         """
         out = cls.__new__(cls)
-        vars(out).update(dom=dom, cod=cod, table=table)
+        _fill(out, "dom", dom)
+        _fill(out, "cod", cod)
+        _fill(out, "table", table)
         return out
 
     def __call__(self, x: int) -> int:
@@ -108,22 +158,21 @@ def monoidal_sum(f: FinMap, g: FinMap) -> FinMap:
     return FinMap(f.dom + g.dom, f.cod + g.cod, table)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Record):
     """A formal generator epsilon/delta/sigma with level ``n`` and index ``i``."""
 
-    kind: str
-    n: int
-    i: int
+    __slots__ = ("kind", "n", "i")
 
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        n, i = self.n, self.i
+    def __init__(self, kind: str, n: int, i: int):
+        if kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
         if n < 0:
             raise ValueError("level must be nonnegative")
-        if not 1 <= i <= n + _INDEX_TOP[self.kind]:
-            raise ValueError(f"index {i} out of range for {self.kind} at level {n}")
+        if not 1 <= i <= n + _INDEX_TOP[kind]:
+            raise ValueError(f"index {i} out of range for {kind} at level {n}")
+        _fill(self, "kind", kind)
+        _fill(self, "n", n)
+        _fill(self, "i", i)
 
     @property
     def map_dom(self) -> int:
@@ -160,8 +209,7 @@ def generator_map(g: Generator) -> FinMap:
     return FinMap(n, n, tuple(table))
 
 
-@dataclass(frozen=True)
-class GenWord:
+class GenWord(_Record):
     """A composable sequence of generators with declared endpoints.
 
     The empty word is the identity at its declared cardinal.  Adjacent
@@ -169,20 +217,20 @@ class GenWord:
     realized domain of the next.
     """
 
-    dom: int
-    cod: int
-    gens: tuple[Generator, ...] = ()
+    __slots__ = ("dom", "cod", "gens")
 
-    def __post_init__(self):
-        gens = tuple(self.gens)
-        object.__setattr__(self, "gens", gens)
-        at = self.dom
+    def __init__(self, dom: int, cod: int, gens: Iterable[Generator] = ()):
+        gens = tuple(gens)
+        at = dom
         for g in gens:
             if g.map_dom != at:
                 raise CompositionError(f"generator {g} expects domain {g.map_dom}, word is at {at}")
             at = g.map_cod
-        if at != self.cod:
-            raise CompositionError(f"word ends at {at}, declared cod {self.cod}")
+        if at != cod:
+            raise CompositionError(f"word ends at {at}, declared cod {cod}")
+        _fill(self, "dom", dom)
+        _fill(self, "cod", cod)
+        _fill(self, "gens", gens)
 
     def __len__(self):
         return len(self.gens)
@@ -222,11 +270,15 @@ def probe_surjection(n: int, j: int) -> FinMap:
     return FinMap(n + 1, n, (j,) + tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class Classification:
-    surjective: bool
-    bijective: bool
-    order_preserving: bool
+class Classification(_Record):
+    """Which of the wide subcategories of `classify` a map lies in."""
+
+    __slots__ = ("surjective", "bijective", "order_preserving")
+
+    def __init__(self, surjective: bool, bijective: bool, order_preserving: bool):
+        _fill(self, "surjective", surjective)
+        _fill(self, "bijective", bijective)
+        _fill(self, "order_preserving", order_preserving)
 
 
 def classify(f: FinMap) -> Classification:
@@ -317,18 +369,20 @@ def factor_map(f: FinMap) -> GenWord:
     return GenWord(f.dom, f.cod, tuple(word))
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Record):
     """Outcome of sweeping one relation family up to a level bound.
 
     Failures are accumulated, never raised, so a corrupted realization
     shows every broken instance.
     """
 
-    family: str
-    bound: int
-    checked: int
-    failures: tuple[dict, ...] = ()
+    __slots__ = ("family", "bound", "checked", "failures")
+
+    def __init__(self, family: str, bound: int, checked: int, failures: tuple[dict, ...] = ()):
+        _fill(self, "family", family)
+        _fill(self, "bound", bound)
+        _fill(self, "checked", checked)
+        _fill(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -16,10 +16,12 @@ two tables give a table again without building a polynomial
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
 from operator import add
-from typing import Iterable, Mapping, Sequence
+
+from .fincard import _fill
 
 Rat = Fraction | int
 Exponent = tuple[int, ...]
@@ -262,10 +264,6 @@ def _rename(terms: Mapping[Exponent, Fraction], table: Sequence[int | None],
     out: dict[Exponent, Fraction] = {}
     _add_terms(out, renamed)
     return out
-
-
-# fields are set through this; PolyMap itself refuses assignment
-_fill = object.__setattr__
 
 
 class PolyMap:

@@ -36,51 +36,55 @@ singular forms; they are closed under the exterior derivative.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
 from math import lcm
 from operator import itemgetter
 
-from .fincard import EPSILON, SIGMA, FinMap, Generator, generator_map, sigma_cycle, split_map
+from .fincard import (EPSILON, SIGMA, FinMap, Generator, _fill, _Record, generator_map, sigma_cycle,
+                      split_map)
 from .poly import Poly, PolyMap, _rename, zero_map
 from .tangent import _flat_sources, _surjection_sources
 
 
-@dataclass(frozen=True)
-class SectorForm:
-    """A candidate sector form: degree n, base dimension m, values in R^k.
+class SectorForm(_Record):
+    """A candidate sector form: degree n, base dimension m, values in R^k,
+    with the polynomial map ``body`` from T^n R^m to R^k.
 
     Construction only checks dimensions; every operator checks the
     linearity equations (`multilinearity_failures`) before it acts.
+    Immutable, and equal to another form with the same fields.
     """
 
-    n: int
-    m: int
-    k: int
-    body: PolyMap
+    __slots__ = ("n", "m", "k", "body")
 
-    def __post_init__(self):
-        if self.n < 0 or self.m < 1 or self.k < 1:
+    def __init__(self, n: int, m: int, k: int, body: PolyMap):
+        if n < 0 or m < 1 or k < 1:
             raise ValueError("need degree >= 0, base dim >= 1, value dim >= 1")
-        if self.n >= self.body.dom_dim.bit_length():  # m << n has more than n bits
-            raise ValueError(f"body is {self.body.dom_dim}->{self.body.cod_dim}, "
-                             f"too small for degree {self.n}")
-        expect = self.m << self.n
-        if (self.body.dom_dim, self.body.cod_dim) != (expect, self.k):
+        if n >= body.dom_dim.bit_length():  # m << n has more than n bits
+            raise ValueError(f"body is {body.dom_dim}->{body.cod_dim}, "
+                             f"too small for degree {n}")
+        expect = m << n
+        if (body.dom_dim, body.cod_dim) != (expect, k):
             raise ValueError(
-                f"body is {self.body.dom_dim}->{self.body.cod_dim}, "
-                f"expected {expect}->{self.k}")
+                f"body is {body.dom_dim}->{body.cod_dim}, "
+                f"expected {expect}->{k}")
+        _fill(self, "n", n)
+        _fill(self, "m", m)
+        _fill(self, "k", k)
+        _fill(self, "body", body)
 
     @classmethod
     def _from_components(cls, n: int, m: int, components: tuple[Poly, ...]) -> "SectorForm":
         """Wrap a nonempty tuple of polynomials in the m << n variables of
         T^n R^m that the package built itself, without the checks of
-        `__post_init__`; k is its length."""
+        `__init__`; k is its length."""
         out = cls.__new__(cls)
-        vars(out).update(n=n, m=m, k=len(components),
-                         body=PolyMap._from_components(m << n, components))
+        _fill(out, "n", n)
+        _fill(out, "m", m)
+        _fill(out, "k", len(components))
+        _fill(out, "body", PolyMap._from_components(m << n, components))
         return out
 
     @classmethod

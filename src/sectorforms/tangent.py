@@ -19,14 +19,15 @@ iterated tangent spaces contravariantly, by preimages of level sets
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .fincard import (
     SIGMA,
     FinMap,
     Generator,
     RelationReport,
+    _fill,
+    _Record,
     classify,
     generator_map,
 )
@@ -42,16 +43,16 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class TangentCoords:
+class TangentCoords(_Record):
     """Coordinate bookkeeping for the flattened space T^depth R^base_dim."""
 
-    base_dim: int
-    depth: int
+    __slots__ = ("base_dim", "depth")
 
-    def __post_init__(self):
-        if self.base_dim < 0 or self.depth < 0:
+    def __init__(self, base_dim: int, depth: int):
+        if base_dim < 0 or depth < 0:
             raise ValueError("dimensions must be nonnegative")
+        _fill(self, "base_dim", base_dim)
+        _fill(self, "depth", depth)
 
     @property
     def size(self) -> int:

@@ -27,6 +27,7 @@ from sectorforms.fincard import (
 )
 from sectorforms.cohomology import ComplexReport, PartitionBasis, sector_basis, singular_basis
 from sectorforms.jsonio import sectorform_to_dict
+from sectorforms.linalg import ranks
 from sectorforms.poly import Poly, PolyMap, compose, identity_map
 from sectorforms.sector import (
     SectorForm,
@@ -418,6 +419,12 @@ def rref(rows):
         pivots[col] = len(reduced)
         reduced.append(row)
     return reduced, pivots
+
+
+def rank(rows):
+    """The rank of the rows: the last prefix rank of `linalg.ranks`."""
+    counts = ranks(rows)
+    return counts[-1] if counts else 0
 
 
 def in_span(basis_rows, target):

@@ -15,6 +15,7 @@ from helpers import (
     nullspace,
     partition_basis_forms,
     random_sector_form,
+    rank,
     reference_alternating_subbasis,
     reference_complex_report,
     reference_derham_derivative,
@@ -33,7 +34,7 @@ from sectorforms.cohomology import (
     sector_candidates,
     singular_basis,
 )
-from sectorforms.linalg import rank
+from sectorforms.linalg import ranks
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import (
     SectorForm,
@@ -95,6 +96,14 @@ class TestLinalg:
     def test_rank_matches_rref(self, rows):
         before = [dict(r) for r in rows]
         assert rank(rows) == len(rref(rows)[0])
+        assert rows == before
+
+    @given(sparse_rows())
+    def test_ranks_count_every_prefix(self, rows):
+        # the count after row i is the rank of the first i rows, which is
+        # how `_level_ranks` reads two ranks from one elimination
+        before = [dict(r) for r in rows]
+        assert ranks(rows) == [len(rref(rows[:i])[0]) for i in range(1, len(rows) + 1)]
         assert rows == before
 
     @pytest.mark.parametrize("coeffs", [SMALL_INTS, PAST_2_64], ids=["int", "past-2^64"])

@@ -1,9 +1,12 @@
 """Layout rules of the package that no single module's tests can see."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "sectorforms").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "sectorforms").glob("*.py"))
 
 
 def test_every_private_definition_is_used_in_src():
@@ -22,3 +25,15 @@ def test_every_private_definition_is_used_in_src():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert private - read == set()
+
+
+def test_cold_start_imports_no_dataclasses_inspect_or_typing():
+    # Most of a CLI run is start-up, and these three cost several times the
+    # package's own import (dataclasses brings in inspect, ast, dis and
+    # tokenize).  -S leaves out site, which may import typing on its own.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sectorforms, sectorforms.cli; "
+            "sectorforms.cli.build_parser(); "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == []
