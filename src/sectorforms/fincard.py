@@ -532,9 +532,7 @@ RELATION_FAMILIES = (
 )
 
 
-def check_relations(max_n: int,
-                    families: Iterable[str] = RELATION_FAMILIES,
-                    realize: Realize = generator_map) -> list[RelationReport]:
+def check_relations(max_n: int, realize: Realize = generator_map) -> list[RelationReport]:
     """Exhaustively verify every relation family for all levels up to max_n.
 
     Both sides of each instance are evaluated left to right on plain
@@ -574,7 +572,7 @@ def check_relations(max_n: int,
         return dom, cod, acc
 
     reports = []
-    for family in families:
+    for family in RELATION_FAMILIES:
         checked = 0
         failures = []
         for params, lhs, rhs in _relation_instances(family, max_n):

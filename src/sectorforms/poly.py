@@ -9,9 +9,9 @@ A `PolyMap` holds one polynomial per output, or a table in their place.
 A coordinate map built by `coordinate_map`, `identity_map` or `zero_map`
 (each output an input coordinate or 0) is held as ``picks``, and a linear
 map built by `linear_map` as ``rows``, one sparse integer row per output.
-`compose`, ``+``, equality, `tangent.tangent_of_map` and the pairings of
-two tables give a table again without building a polynomial
-(docs/coordinate-layout.md, "Maps held as tables").
+`compose`, ``+``, equality and `tangent.tangent_of_map` of tables, and
+the pairings of two picks, give a table again without building a
+polynomial (docs/coordinate-layout.md, "Maps held as tables").
 """
 
 from __future__ import annotations
@@ -276,12 +276,12 @@ class PolyMap:
     * ``rows``: per output, a tuple of (input, nonzero int coefficient)
       pairs sorted by input, the sparse row of a linear map.
 
-    A table whose every row is empty or one entry with coefficient 1 is
-    held as ``picks``, never as ``rows``, so equal tables are equal
-    tuples.  A map built from components holds neither table, whatever
-    the components are.  Compose, ``+``, T, the pairings and equality use
-    the tables when both sides have one.  Immutable: assigning to a field
-    raises.
+    A map keeps the form it was built in: unit rows stay ``rows``, and a
+    map built from components holds neither table, whatever the
+    components are.  Compose, ``+``, T and equality use the tables when
+    both sides have one, reading picks as unit rows beside rows; the
+    pairings use them when both are picks.  Immutable: assigning to a
+    field raises.
     """
 
     __slots__ = ("dom_dim", "cod_dim", "components", "picks", "rows")
@@ -325,22 +325,13 @@ class PolyMap:
     @classmethod
     def _from_rows(cls, dom_dim: int, rows: tuple[tuple[tuple[int, int], ...], ...]) -> "PolyMap":
         """Hold a linear map as its sparse rows, already checked and sorted
-        by the caller, or as its picks when every row is empty or one unit
-        entry."""
-        picks = []
-        for row in rows:
-            if not row:
-                picks.append(None)
-            elif len(row) == 1 and row[0][1] == 1:
-                picks.append(row[0][0])
-            else:
-                out = cls.__new__(cls)
-                _fill(out, "dom_dim", dom_dim)
-                _fill(out, "cod_dim", len(rows))
-                _fill(out, "picks", None)
-                _fill(out, "rows", rows)
-                return out
-        return cls._from_picks(dom_dim, tuple(picks))
+        by the caller; rows that are all units stay rows."""
+        out = cls.__new__(cls)
+        _fill(out, "dom_dim", dom_dim)
+        _fill(out, "cod_dim", len(rows))
+        _fill(out, "picks", None)
+        _fill(out, "rows", rows)
+        return out
 
     def __getattr__(self, name):
         # reached only for a slot not filled yet: the components of a map
@@ -377,10 +368,12 @@ class PolyMap:
             return NotImplemented
         if self.dom_dim != other.dom_dim or self.cod_dim != other.cod_dim:
             return False
-        if (self.picks is None and self.rows is None) or (other.picks is None and other.rows is None):
+        if self.picks is not None and other.picks is not None:
+            return self.picks == other.picks
+        left, right = _table_rows(self), _table_rows(other)
+        if left is None or right is None:
             return self.components == other.components
-        # two tables, each held in its one form: unit rows only as picks
-        return self.picks == other.picks and self.rows == other.rows
+        return left == right
 
     def __hash__(self):
         return hash((self.dom_dim, self.cod_dim, self.components))
@@ -453,7 +446,11 @@ def coordinate_map(dom_dim: int, assignment: Iterable[int | None]) -> PolyMap:
     """Each output is an input coordinate or constant zero (None)."""
     picks = tuple(assignment)
     for j in picks:
-        if j is not None and not 0 <= j < dom_dim:
+        if j is None:
+            continue
+        if type(j) is not int:
+            raise TypeError(f"entry {j!r} is not an int or None")
+        if not 0 <= j < dom_dim:
             raise ValueError(f"variable {j} out of range")
     return PolyMap._from_picks(dom_dim, picks)
 
@@ -476,14 +473,11 @@ def paired_outputs(f: PolyMap, g: PolyMap):
     """The outputs of two maps on one domain, and the constructor of a map
     from a selection of them (called as ``wrap(dom_dim, outputs)``).
 
-    When both are tables the outputs are table entries, picks or sparse
-    rows, and a selection stays a table; otherwise they are components.
+    When both are picks the outputs are table entries, and a selection
+    stays picks; otherwise they are components.
     """
     if f.picks is not None and g.picks is not None:
         return f.picks, g.picks, PolyMap._from_picks
-    fr, gr = _table_rows(f), _table_rows(g)
-    if fr is not None and gr is not None:
-        return fr, gr, PolyMap._from_rows
     return f.components, g.components, PolyMap._from_components
 
 
@@ -495,7 +489,7 @@ def compose(f: PolyMap, g: PolyMap) -> PolyMap:
     * both are tables: two picks give the table ``f.picks[j]`` for each
       ``j`` in ``g.picks``; otherwise row k of the composite sums c times
       f's row j over the pairs (j, c) of g's row k.  No polynomial is
-      built, and a composite whose rows are all units is held as picks.
+      built, and the composite is rows even when its rows are all units.
     * g is picks: the composite picks component j of f for each x_j
       and one zero polynomial for each 0; nothing is substituted.
     * f is picks: each component of g has its variables renamed by

@@ -298,7 +298,7 @@ def _reference_word(realized, gens):
     return out
 
 
-def reference_check_relations(max_n, families=RELATION_FAMILIES, realize=generator_map):
+def reference_check_relations(max_n, realize=generator_map):
     """The `RelationReport` list of `check_relations`, through `FinMap` composition."""
     tables = {}
 
@@ -308,7 +308,7 @@ def reference_check_relations(max_n, families=RELATION_FAMILIES, realize=generat
         return tables[g]
 
     reports = []
-    for family in families:
+    for family in RELATION_FAMILIES:
         checked = 0
         failures = []
         for params, lhs, rhs in _relation_instances(family, max_n):

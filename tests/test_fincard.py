@@ -415,8 +415,9 @@ def corrupt_delta_top(g):
 
 class TestRelations:
     def test_moore_families_small(self):
-        for rep in check_relations(2, families=("moore-involution", "moore-braid", "moore-commute")):
-            assert rep.ok
+        reports = {r.family: r for r in check_relations(2)}
+        for family in ("moore-involution", "moore-braid", "moore-commute"):
+            assert reports[family].ok
 
     def test_all_families_to_five(self):
         reports = check_relations(5)
@@ -431,13 +432,10 @@ class TestRelations:
 
     def test_reports_accumulate_failures(self):
         # sigma |-> identity still satisfies sigma;sigma = 1 ...
-        (involution,) = check_relations(4, families=("moore-involution",),
-                                        realize=sigma_as_identity)
-        assert involution.ok
+        reports = {r.family: r for r in check_relations(4, realize=sigma_as_identity)}
+        assert reports["moore-involution"].ok
         # ... but breaks the codegeneracy-symmetry family in many places at once
-        (rep,) = check_relations(4, families=("codegeneracy-symmetry",),
-                                 realize=sigma_as_identity)
-        assert len(rep.failures) > 1
+        assert len(reports["codegeneracy-symmetry"].failures) > 1
 
     def test_wrong_arity_is_a_failure(self):
         reports = {r.family: r for r in check_relations(3, realize=epsilon_as_identity)}

@@ -497,6 +497,13 @@ class TestTableMaps:
         with pytest.raises(ValueError, match="out of range"):
             coordinate_map(2, [0, index])
 
+    @pytest.mark.parametrize("entry", (1.0, True, F(1)), ids=("float", "bool", "Fraction"))
+    def test_coordinate_map_rejects_entries_that_are_not_ints(self, entry):
+        # a float, bool or Fraction index would otherwise fail only later,
+        # when components are built or the map is composed
+        with pytest.raises(TypeError, match="not an int or None"):
+            coordinate_map(2, [entry, None])
+
     @pytest.mark.parametrize("field", ("dom_dim", "cod_dim", "components", "picks"))
     def test_fields_cannot_be_assigned(self, field):
         for f in (coordinate_map(2, [1, None]), PolyMap(2, 2, (Y1, Poly.zero(2)))):
@@ -544,31 +551,41 @@ def rebuilt(f):
     return PolyMap(f.dom_dim, f.cod_dim, f.components)
 
 
-def is_table(f):
-    return f.picks is not None or f.rows is not None
+def form(f):
+    """How a map is held: "picks", "rows", or None for components."""
+    if f.picks is not None:
+        return "picks"
+    return "rows" if f.rows is not None else None
 
 
-def is_unit_or_zero(p):
-    """p is 0 or one variable with coefficient 1."""
-    if len(p.terms) != 1:
-        return p.is_zero
-    ((exp, c),) = p.terms.items()
-    return c == 1 and sum(exp) == 1
+def composite_form(f, g):
+    """The form of `compose(f, g)`: a table exactly when both are tables,
+    picks when both are picks."""
+    if form(f) is None or form(g) is None:
+        return None
+    return "picks" if form(f) == form(g) == "picks" else "rows"
 
 
-def assert_same_map(got, want, table):
+def sum_form(f, h):
+    """The form of ``f + h``: rows exactly when both are tables."""
+    return "rows" if form(f) and form(h) else None
+
+
+def pair_form(f, g):
+    """The form of a pairing of f and g: picks exactly when both are picks."""
+    return "picks" if form(f) == form(g) == "picks" else None
+
+
+def assert_same_map(got, want, held_as):
     """``got`` equals the oracle ``want`` component by component, as ``==`` and
-    as a hash; it is a table exactly when ``table``, and then held as picks
-    exactly when every component is 0 or a unit variable, its rows sorted
-    by input with nonzero int coefficients."""
+    as a hash; it is held as ``held_as`` ("picks", "rows" or None for
+    components), its rows sorted by input with nonzero int coefficients."""
     assert (got.dom_dim, got.cod_dim) == (want.dom_dim, want.cod_dim)
     assert got.components == want.components
     assert got == want and want == got and hash(got) == hash(want)
     for p in got.components:
         assert_built(p, got.dom_dim)
-    assert is_table(got) is table
-    if table:
-        assert (got.picks is not None) is all(map(is_unit_or_zero, got.components))
+    assert form(got) == held_as
     if got.rows is not None:
         for row in got.rows:
             assert [j for j, _ in row] == sorted({j for j, _ in row})
@@ -596,43 +613,90 @@ def pairing_cases(draw, blocks, shared):
     return f, f + compose(h, spread)
 
 
-class TestLinearRows:
-    """Maps held as sparse int rows against the same maps held as components."""
+def twins(table, dom_dim):
+    """The coordinate map of a table held three ways: as picks, as unit rows
+    from `linear_map`, and rebuilt from components."""
+    picks = coordinate_map(dom_dim, table)
+    return picks, linear_map(dom_dim, [{} if j is None else {j: 1} for j in table]), rebuilt(picks)
 
-    @given(linear_cases())
+
+@st.composite
+def twin_maps(draw, dom_dim, cod_dim):
+    """A coordinate map R^a -> R^b held in any of its three forms."""
+    return draw(st.sampled_from(twins(draw(tables(dom_dim, cod_dim)), dom_dim)))
+
+
+@st.composite
+def twin_cases(draw):
+    """f, h: R^a -> R^b and g: R^b -> R^c, coordinate maps in mixed forms."""
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+    return draw(twin_maps(a, b)), draw(twin_maps(b, c)), draw(twin_maps(a, b))
+
+
+@st.composite
+def twin_pairing_cases(draw, blocks, shared):
+    """(f, g): coordinate maps into ``blocks`` blocks of y outputs, in mixed
+    forms, whose tables agree on the ``shared`` blocks."""
+    a, y = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    t, other = draw(tables(a, blocks * y)), draw(tables(a, blocks * y))
+    u = tuple(t[i] if i // y in shared else other[i] for i in range(blocks * y))
+    return draw(st.sampled_from(twins(t, a))), draw(st.sampled_from(twins(u, a)))
+
+
+class TestLinearRows:
+    """Maps held as sparse int rows against the same maps held as components,
+    and one coordinate table held as picks, as unit rows and as components."""
+
+    @given(st.one_of(linear_cases(), twin_cases()))
     def test_operations_match_the_component_route(self, case):
         f, g, h = case
-        assert_same_map(compose(f, g), compose(rebuilt(f), rebuilt(g)),
-                        is_table(f) and is_table(g))
-        assert_same_map(tangent_of_map(f), tangent_of_map(rebuilt(f)), is_table(f))
-        assert_same_map(f + h, rebuilt(f) + rebuilt(h), is_table(f) and is_table(h))
+        assert_same_map(compose(f, g), compose(rebuilt(f), rebuilt(g)), composite_form(f, g))
+        assert_same_map(tangent_of_map(f), tangent_of_map(rebuilt(f)), form(f))
+        assert_same_map(f + h, rebuilt(f) + rebuilt(h), sum_form(f, h))
         assert (f == h) is (h == f) is (rebuilt(f) == rebuilt(h))
         if f == h:
             assert hash(f) == hash(h)
 
-    @given(pairing_cases(2, shared=(0,)))
+    @given(st.one_of(pairing_cases(2, shared=(0,)), twin_pairing_cases(2, shared=(0,))))
     def test_fibre_pair_matches_the_component_route(self, case):
         f, g = case
-        assert_same_map(fibre_pair(f, g), fibre_pair(rebuilt(f), rebuilt(g)),
-                        is_table(f) and is_table(g))
+        assert_same_map(fibre_pair(f, g), fibre_pair(rebuilt(f), rebuilt(g)), pair_form(f, g))
 
-    @given(pairing_cases(4, shared=(0, 2)))
+    @given(st.one_of(pairing_cases(4, shared=(0, 2)), twin_pairing_cases(4, shared=(0, 2))))
     def test_tangent_pair_matches_the_component_route(self, case):
         f, g = case
         assert_same_map(tangent_pair(f, g), tangent_pair(rebuilt(f), rebuilt(g)),
-                        is_table(f) and is_table(g))
+                        pair_form(f, g))
 
-    def test_composite_that_cancels_to_a_table_is_held_as_picks(self):
+    @given(st.integers(0, 3).flatmap(lambda a: st.tuples(st.just(a), tables(a, 3))))
+    def test_table_twins_are_equal_and_hash_alike(self, case):
+        a, table = case
+        held_as = twins(table, a)
+        assert [form(f) for f in held_as] == ["picks", "rows", None]
+        for left in held_as:
+            for right in held_as:
+                assert left == right and hash(left) == hash(right)
+
+    def test_composite_that_cancels_to_units_stays_rows(self):
+        # a table keeps the form it was built in, and unit rows equal the
+        # picks that read the same inputs
         shear, unshear = linear_map(2, [{0: 1, 1: 1}, {1: 1}]), linear_map(2, [{0: 1, 1: -1}, {1: 1}])
         assert shear.rows == (((0, 1), (1, 1)), ((1, 1),)) and shear.picks is None
-        assert compose(shear, unshear).picks == (0, 1)
-        assert compose(shear, unshear) == identity_map(2)
-        assert (shear + linear_map(2, [{1: -1}, {1: -1}])).picks == (0, None)
-        assert linear_map(3, [{2: 1}, {}, {0: 0, 1: 1}]).picks == (2, None, 1)
+        composite = compose(shear, unshear)
+        assert composite.rows == (((0, 1),), ((1, 1),)) and composite.picks is None
+        assert composite == identity_map(2) and identity_map(2) == composite
+        assert hash(composite) == hash(identity_map(2))
+        cancelled = shear + linear_map(2, [{1: -1}, {1: -1}])
+        assert cancelled.rows == (((0, 1),), ()) and cancelled == coordinate_map(2, [0, None])
+        dropped = linear_map(3, [{2: 1}, {}, {0: 0, 1: 1}])
+        assert dropped.rows == (((2, 1),), (), ((1, 1),))
+        assert dropped == coordinate_map(3, [2, None, 1])
 
-    def test_rows_and_picks_tables_never_compare_equal(self):
-        # a table of unit rows is held as picks, so two tables of different
-        # kinds are different maps
+    def test_unit_rows_equal_their_picks_twin(self):
+        unit, picks = linear_map(2, [{1: 1}, {}]), coordinate_map(2, [1, None])
+        assert unit.rows is not None and unit == picks and picks == unit
+        assert hash(unit) == hash(picks)
+        # a coefficient other than 1 is a different map
         double = linear_map(1, [{0: 2}])
         assert double != coordinate_map(1, [0]) and coordinate_map(1, [0]) != double
         assert double == rebuilt(double) and hash(double) == hash(rebuilt(double))
