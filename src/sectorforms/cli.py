@@ -257,53 +257,53 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = command("verify-relations", _cmd_verify_relations, "sweep the presentation relations")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--cap-n", type=int, default=12, dest="cap_n")
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--cap-n", type=int, default=12)
     common(p)
 
     p = command("verify-axioms", _cmd_verify_axioms, "check the tangent-structure axioms")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--cap-dim", type=int, default=4, dest="cap_dim")
-    p.add_argument("--cap-depth", type=int, default=5, dest="cap_depth")
+    p.add_argument("--cap-dim", type=int, default=4)
+    p.add_argument("--cap-depth", type=int, default=5)
     common(p)
 
     p = command("factor", _cmd_factor, "factor a map of finite cardinals into generators")
     p.add_argument("--in", required=True, dest="infile", help="FinMap JSON file")
     p.add_argument("--gens", choices=("surj", "full"), default="full")
-    p.add_argument("--cap-n", type=int, default=64, dest="cap_n")
+    p.add_argument("--cap-n", type=int, default=64)
     common(p)
 
     p = command("apply", _cmd_apply, "act on a sector form by a map of cardinals")
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--map", required=True, help="FinMap JSON file")
-    p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
+    p.add_argument("--cap-n", type=int, default=7)
     common(p)
 
     p = command("derive", _cmd_derive, "coface or full exterior derivative")
     p.add_argument("--form", required=True, help="SectorForm JSON file")
     p.add_argument("--position", type=int, default=None)
-    p.add_argument("--cap-n", type=int, default=7, dest="cap_n")
+    p.add_argument("--cap-n", type=int, default=7)
     common(p)
 
     p = command("derham", _cmd_derham, "degree-bounded sector cohomology report")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--cap-dim", type=int, default=3, dest="cap_dim")
-    p.add_argument("--cap-deg", type=int, default=8, dest="cap_deg")
-    p.add_argument("--cap-levels", type=int, default=3, dest="cap_levels")
-    p.add_argument("--max-candidates", type=int, default=20000, dest="max_candidates")
+    p.add_argument("--cap-dim", type=int, default=3)
+    p.add_argument("--cap-deg", type=int, default=8)
+    p.add_argument("--cap-levels", type=int, default=3)
+    p.add_argument("--max-candidates", type=int, default=20000)
     common(p)
 
     p = command("sector-basis", _cmd_sector_basis, "basis of degree-bounded sector forms")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--cap-dim", type=int, default=3, dest="cap_dim")
-    p.add_argument("--cap-deg", type=int, default=8, dest="cap_deg")
-    p.add_argument("--cap-levels", type=int, default=4, dest="cap_levels")
-    p.add_argument("--max-candidates", type=int, default=20000, dest="max_candidates")
+    p.add_argument("--cap-dim", type=int, default=3)
+    p.add_argument("--cap-deg", type=int, default=8)
+    p.add_argument("--cap-levels", type=int, default=4)
+    p.add_argument("--max-candidates", type=int, default=20000)
     common(p)
 
     return parser

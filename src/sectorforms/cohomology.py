@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
-from .fincard import _fill, _Record
+from .fincard import _Record
 from .linalg import ranks
 from .poly import _ONE, Poly
 from .sector import SectorForm, _coface_sums, _exterior_signs
@@ -104,10 +104,7 @@ class PartitionBasis(_Record):
 
     def __init__(self, n: int, m: int, bases: tuple[tuple[int, ...], ...],
                  tails: tuple[tuple[int, ...], ...]):
-        _fill(self, "n", n)
-        _fill(self, "m", m)
-        _fill(self, "bases", bases)
-        _fill(self, "tails", tails)
+        _Record.__init__(self, n, m, bases, tails)
 
     def __len__(self) -> int:
         return len(self.bases) * len(self.tails)
@@ -201,20 +198,10 @@ class ComplexReport(_Record):
                  singular_kernel_dims: tuple[int, ...], singular_boundary_ranks: tuple[int, ...],
                  singular_image_ranks_raised: tuple[int, ...],
                  singular_cohomology: tuple[int, ...], complex_verified: bool):
-        _fill(self, "base_dim", base_dim)
-        _fill(self, "degree_bound", degree_bound)
-        _fill(self, "levels", levels)
-        _fill(self, "dims", dims)
-        _fill(self, "kernel_dims", kernel_dims)
-        _fill(self, "boundary_ranks", boundary_ranks)
-        _fill(self, "image_ranks_raised", image_ranks_raised)
-        _fill(self, "cohomology", cohomology)
-        _fill(self, "singular_dims", singular_dims)
-        _fill(self, "singular_kernel_dims", singular_kernel_dims)
-        _fill(self, "singular_boundary_ranks", singular_boundary_ranks)
-        _fill(self, "singular_image_ranks_raised", singular_image_ranks_raised)
-        _fill(self, "singular_cohomology", singular_cohomology)
-        _fill(self, "complex_verified", complex_verified)
+        _Record.__init__(self, base_dim, degree_bound, levels,
+                         dims, kernel_dims, boundary_ranks, image_ranks_raised, cohomology,
+                         singular_dims, singular_kernel_dims, singular_boundary_ranks,
+                         singular_image_ranks_raised, singular_cohomology, complex_verified)
 
     def consistent(self) -> bool:
         """The subtraction identity holds and no cohomology rank is negative."""

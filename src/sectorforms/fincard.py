@@ -57,11 +57,15 @@ class _Record:
     """An immutable value: its fields are its ``__slots__``, in order, or
     its parent's when it declares none.
 
-    A subclass's ``__init__`` checks its arguments and sets each field
-    with `_fill`.  Equality and hash go by the tuple of fields, and only
-    between instances of one class; assigning or deleting a field raises
-    AttributeError; copy and pickle rebuild through the constructor, so
-    its checks run again.  The repr is ``Name(field=value, ...)``.
+    A subclass's ``__init__`` checks its arguments, then calls
+    ``_Record.__init__``, which fills the fields in slot order; `_new`
+    fills them unchecked, for values the package built itself.  Equality
+    and hash go by the tuple of fields, and only between instances of one
+    class; assigning or deleting a field raises AttributeError; copy and
+    pickle rebuild through the constructor, so its checks run again.  The
+    repr is ``Name(field=value, ...)``.  `poly.PolyMap` fills its fields
+    directly: the sweeps build thousands of maps, and a map compares by
+    what it computes, not by its field tuple.
     """
 
     __slots__ = ()
@@ -71,6 +75,21 @@ class _Record:
         if cls.__slots__:
             cls._names = cls.__slots__
             cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(self._names):
+            raise TypeError(f"{type(self).__qualname__} has {len(self._names)} fields, "
+                            f"got {len(values)} values")
+        for name, value in zip(self._names, values):
+            _fill(self, name, value)
+
+    @classmethod
+    def _new(cls, *values):
+        """The record of these fields, unchecked: the caller guarantees
+        what the subclass's ``__init__`` would enforce."""
+        out = cls.__new__(cls)
+        _Record.__init__(out, *values)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,22 +133,7 @@ class FinMap(_Record):
                 raise ValueError(f"entry {x} -> {y!r} is not an integer")
             if not 1 <= y <= cod:
                 raise ValueError(f"entry {x} -> {y} outside 1..{cod}")
-        _fill(self, "dom", dom)
-        _fill(self, "cod", cod)
-        _fill(self, "table", table)
-
-    @classmethod
-    def _from_table(cls, dom: int, cod: int, table: tuple[int, ...]) -> "FinMap":
-        """Wrap a table the package built itself, without re-checking it.
-
-        The caller guarantees what `__init__` would enforce: ``table``
-        is a tuple of ``dom`` ints, each in 1..cod.
-        """
-        out = cls.__new__(cls)
-        _fill(out, "dom", dom)
-        _fill(out, "cod", cod)
-        _fill(out, "table", table)
-        return out
+        _Record.__init__(self, dom, cod, table)
 
     def __call__(self, x: int) -> int:
         if not 1 <= x <= self.dom:
@@ -149,7 +153,7 @@ def compose(f: FinMap, g: FinMap) -> FinMap:
     if f.cod != g.dom:
         raise CompositionError(f"cod {f.cod} != dom {g.dom}")
     # entries of f lie in 1..f.cod = g.dom, so the composite table is valid
-    return FinMap._from_table(f.dom, g.cod, tuple(g.table[y - 1] for y in f.table))
+    return FinMap._new(f.dom, g.cod, tuple(g.table[y - 1] for y in f.table))
 
 
 def monoidal_sum(f: FinMap, g: FinMap) -> FinMap:
@@ -170,9 +174,7 @@ class Generator(_Record):
             raise ValueError("level must be nonnegative")
         if not 1 <= i <= n + _INDEX_TOP[kind]:
             raise ValueError(f"index {i} out of range for {kind} at level {n}")
-        _fill(self, "kind", kind)
-        _fill(self, "n", n)
-        _fill(self, "i", i)
+        _Record.__init__(self, kind, n, i)
 
     @property
     def map_dom(self) -> int:
@@ -228,9 +230,7 @@ class GenWord(_Record):
             at = g.map_cod
         if at != cod:
             raise CompositionError(f"word ends at {at}, declared cod {cod}")
-        _fill(self, "dom", dom)
-        _fill(self, "cod", cod)
-        _fill(self, "gens", gens)
+        _Record.__init__(self, dom, cod, gens)
 
     def __len__(self):
         return len(self.gens)
@@ -276,9 +276,7 @@ class Classification(_Record):
     __slots__ = ("surjective", "bijective", "order_preserving")
 
     def __init__(self, surjective: bool, bijective: bool, order_preserving: bool):
-        _fill(self, "surjective", surjective)
-        _fill(self, "bijective", bijective)
-        _fill(self, "order_preserving", order_preserving)
+        _Record.__init__(self, surjective, bijective, order_preserving)
 
 
 def classify(f: FinMap) -> Classification:
@@ -379,10 +377,7 @@ class RelationReport(_Record):
     __slots__ = ("family", "bound", "checked", "failures")
 
     def __init__(self, family: str, bound: int, checked: int, failures: tuple[dict, ...] = ()):
-        _fill(self, "family", family)
-        _fill(self, "bound", bound)
-        _fill(self, "checked", checked)
-        _fill(self, "failures", failures)
+        _Record.__init__(self, family, bound, checked, failures)
 
     @property
     def ok(self) -> bool:

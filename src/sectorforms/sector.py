@@ -42,7 +42,7 @@ from itertools import compress
 from math import lcm
 from operator import itemgetter
 
-from .fincard import (EPSILON, SIGMA, FinMap, Generator, _fill, _Record, generator_map, sigma_cycle,
+from .fincard import (EPSILON, SIGMA, FinMap, Generator, _Record, generator_map, sigma_cycle,
                       split_map)
 from .poly import Poly, PolyMap, _rename, zero_map
 from .tangent import _flat_sources, _surjection_sources
@@ -70,22 +70,14 @@ class SectorForm(_Record):
             raise ValueError(
                 f"body is {body.dom_dim}->{body.cod_dim}, "
                 f"expected {expect}->{k}")
-        _fill(self, "n", n)
-        _fill(self, "m", m)
-        _fill(self, "k", k)
-        _fill(self, "body", body)
+        _Record.__init__(self, n, m, k, body)
 
     @classmethod
     def _from_components(cls, n: int, m: int, components: tuple[Poly, ...]) -> "SectorForm":
         """Wrap a nonempty tuple of polynomials in the m << n variables of
         T^n R^m that the package built itself, without the checks of
         `__init__`; k is its length."""
-        out = cls.__new__(cls)
-        _fill(out, "n", n)
-        _fill(out, "m", m)
-        _fill(out, "k", len(components))
-        _fill(out, "body", PolyMap._from_components(m << n, components))
-        return out
+        return cls._new(n, m, len(components), PolyMap._from_components(m << n, components))
 
     @classmethod
     def zero(cls, n: int, m: int, k: int = 1) -> "SectorForm":
@@ -164,11 +156,9 @@ def _reindex(omega: SectorForm, u: FinMap) -> SectorForm:
         for comp in omega.body.components))
 
 
-@cache
 def _coface_table(m: int, n: int, i: int) -> tuple[int, ...]:
     """The flip-cycle table of `_coface_sums` at i into degree n on R^m: the
-    preimage table of `sigma_cycle(n, i)` over flat indices; kept, since
-    a report asks for a handful of (m, n, i) many times over."""
+    preimage table of `sigma_cycle(n, i)` over flat indices."""
     return tuple(_flat_sources(m, _surjection_sources(sigma_cycle(n, i))))
 
 

@@ -26,7 +26,6 @@ from .fincard import (
     FinMap,
     Generator,
     RelationReport,
-    _fill,
     _Record,
     classify,
     generator_map,
@@ -51,8 +50,7 @@ class TangentCoords(_Record):
     def __init__(self, base_dim: int, depth: int):
         if base_dim < 0 or depth < 0:
             raise ValueError("dimensions must be nonnegative")
-        _fill(self, "base_dim", base_dim)
-        _fill(self, "depth", depth)
+        _Record.__init__(self, base_dim, depth)
 
     @property
     def size(self) -> int:

@@ -27,6 +27,16 @@ def test_every_private_definition_is_used_in_src():
     assert private - read == set()
 
 
+def test_only_fincard_and_poly_read_fill():
+    # records fill their fields through _Record.__init__ and _Record._new;
+    # PolyMap, which is no record, is the one other reader of _fill
+    readers = {path.name for path in SOURCES
+               if any(isinstance(node, ast.Name) and node.id == "_fill"
+                      or isinstance(node, ast.alias) and node.name == "_fill"
+                      for node in ast.walk(ast.parse(path.read_text())))}
+    assert readers == {"fincard.py", "poly.py"}
+
+
 def test_cold_start_imports_no_dataclasses_inspect_or_typing():
     # Most of a CLI run is start-up, and these three cost several times the
     # package's own import (dataclasses brings in inspect, ast, dis and

@@ -1,18 +1,24 @@
 """The package's immutable records behave as values.
 
 Each case builds one record, names its fields in constructor order and
-pins its repr.  Equality and hash go by the field tuple and only within
-one class; fields cannot be assigned or deleted; copy, deepcopy and
-pickle give an equal record of the same class.
+pins its repr; every record of the package has a case.  Equality and
+hash go by the field tuple and only within one class; `_new` builds the
+same value from exactly its fields; fields cannot be assigned or
+deleted; copy, deepcopy and pickle give an equal record of the same
+class.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import sectorforms
 from sectorforms.cohomology import complex_report, partition_basis
-from sectorforms.fincard import Classification, FinMap, Generator, GenWord, RelationReport
+from sectorforms.fincard import (Classification, FinMap, Generator, GenWord, RelationReport,
+                                 _Record)
 from sectorforms.poly import Poly, PolyMap
 from sectorforms.sector import SectorForm
 from sectorforms.tangent import TangentCoords
@@ -73,6 +79,29 @@ def test_equality_and_hash_go_by_the_fields(case):
     for stranger in (other, fields):
         assert record.__eq__(stranger) is NotImplemented
         assert record != stranger and stranger != record
+
+
+def test_every_record_has_a_case():
+    # a record added to the package cannot skip the value tests above
+    records = set()
+    for info in pkgutil.iter_modules(sectorforms.__path__):
+        module = importlib.import_module(f"sectorforms.{info.name}")
+        records.update(name for name, obj in vars(module).items()
+                       if isinstance(obj, type) and issubclass(obj, _Record)
+                       and obj is not _Record and obj.__module__ == module.__name__)
+    assert records == set(CASES)
+
+
+def test_new_builds_the_same_value(case):
+    record, _, fields, _ = case
+    cls = type(record)
+    built = cls._new(*fields)
+    assert type(built) is cls
+    assert built == cls(*fields) == record and hash(built) == hash(record)
+    assert built._fields(built) == fields
+    for values in (fields[:-1], fields + (None,)):
+        with pytest.raises(TypeError, match="fields"):
+            cls._new(*values)
 
 
 def test_fields_cannot_be_assigned_or_deleted(case):
